@@ -15,7 +15,6 @@ from .abelian import (
     rank_mod_p,
     restriction_faithful_on_primary,
     smith_normal_form,
-    subgroup_membership,
 )
 from .autgroup import (
     Automorphism,

@@ -178,11 +178,17 @@ def close_group(
 @lru_cache(maxsize=64)
 def _cached_full_closure(
     group: FiniteAbelianGroup, cap: int
-) -> tuple[Automorphism, ...]:
+) -> tuple[Automorphism, ...] | None:
+    """The full closure, or None when it outgrows the cap: ``lru_cache``
+    does not keep exceptions, so the failure is cached as a value instead
+    of being enumerated again on every call."""
     gens = aut_generators(group)
     if not gens:
         return (Automorphism.identity(group),)
-    return tuple(close_group(gens, cap))
+    try:
+        return tuple(close_group(gens, cap))
+    except CapExceededError:
+        return None
 
 
 @dataclass(frozen=True)
@@ -204,9 +210,6 @@ class AutVSubgroup:
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    def multiplicity_of(self, chi: Character) -> int:
-        return self.multiplicity_by_index[self.group.index_of(chi.coords)]
 
 
 def aut_v_subgroup(
@@ -234,6 +237,8 @@ def aut_v_subgroup(
             mult[group.index_of(chi.coords)] = int(m)
     support = [i for i, m in enumerate(mult) if m]
     full = _cached_full_closure(group, cap)
+    if full is None:
+        raise CapExceededError(cap)
     elements = [
         a for a in full if all(mult[a.perm[i]] == mult[i] for i in support)
     ]

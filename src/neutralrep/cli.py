@@ -176,7 +176,8 @@ def cmd_check(args) -> int:
     V = _load_representation(args.file)
     if args.prime is not None:
         p = args.prime
-        if not is_prime(p) or V.group.order % p:
+        # divisibility first: trial division on a huge --prime would run for minutes
+        if p < 2 or V.group.order % p or not is_prime(p):
             raise InputError(
                 f"--prime {p} must be a prime dividing the group order {V.group.order}"
             )

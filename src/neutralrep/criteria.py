@@ -48,10 +48,8 @@ from .autgroup import (
     _greedy_generators,
     acts_trivially_on_lines,
     aut_generators,
-    aut_v_subgroup,
     close_group,
     induced_mod_p_matrix,
-    orbit_partition,
 )
 from .errors import (
     CapExceededError,
@@ -67,6 +65,7 @@ from .rep import (
     is_faithful,
     pseudoreflections,
     rep_from_input,
+    symmetry_of,
 )
 
 STRATEGY_EASY_CYCLIC = "EasyCyclic"
@@ -125,10 +124,14 @@ class NeutralityReport:
 
 
 def _require_prime_divisor(group: FiniteAbelianGroup, p: int) -> None:
-    if not is_prime(p):
+    # divisibility before primality: trial division costs sqrt(p), and a
+    # divisor of the order is at most the order
+    if p < 2:
         raise ValueError(f"{p} is not prime")
     if group.order % p:
         raise ValueError(f"{p} does not divide the group order {group.order}")
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
 
 
 # ---------------------------------------------------------------------------
@@ -204,10 +207,13 @@ def check_cyclic_general(
     The witness is the lexicographically least qualifying character; branch
     (b) is preferred when both apply.
     """
-    return _cyclic_general(V, p, cap, strict=False)
+    return _cyclic_general(V, p, cap)[0]
 
 
-def _cyclic_general(V: Representation, p: int, cap: int, strict: bool) -> PrimeVerdict:
+def _cyclic_general(V: Representation, p: int, cap: int) -> tuple[PrimeVerdict, bool]:
+    """The CyclicGeneral verdict, and whether some qualifying character is
+    faithful on the whole group and not only on the p-primary part (the
+    stricter reading of the witness condition)."""
     group = V.group
     _require_prime_divisor(group, p)
     if group.p_rank(p) > 1:
@@ -215,12 +221,10 @@ def _cyclic_general(V: Representation, p: int, cap: int, strict: bool) -> PrimeV
             f"{p}-primary part has rank {group.p_rank(p)}; use the "
             f"lines-and-generators criterion instead"
         )
-    symmetries = aut_v_subgroup(group, V.multiplicities(), cap)
-    partition = orbit_partition(symmetries)
+    _, partition = symmetry_of(V, cap)
+    verdict = None
     for chi, m in V.entries:
         if m % p == 0:
-            continue
-        if strict and not _generates_whole_group(chi):
             continue
         orbit = partition.orbit_of(chi)
         proj = primary_projection(chi, p)
@@ -234,28 +238,26 @@ def _cyclic_general(V: Representation, p: int, cap: int, strict: bool) -> PrimeV
             branch = "a"
         else:
             continue
-        witness = {
-            "character": list(chi.coords),
-            "multiplicity": m,
-            "orbit_size": orbit.size,
-            "branch": branch,
-            "restriction": list(proj.coords),
-            "orbit_sum_restriction": list(orbit_sum_proj.coords),
-        }
-        return PrimeVerdict(p, Certificate(p, STRATEGY_CYCLIC_GENERAL, witness))
-    return PrimeVerdict(
-        p,
-        None,
-        (
-            f"CyclicGeneral: no support character of multiplicity prime to "
-            f"{p} has a qualifying orbit (size prime to {p} with faithful "
-            f"restriction, or faithful orbit-sum restriction)",
-        ),
+        if verdict is None:
+            witness = {
+                "character": list(chi.coords),
+                "multiplicity": m,
+                "orbit_size": orbit.size,
+                "branch": branch,
+                "restriction": list(proj.coords),
+                "orbit_sum_restriction": list(orbit_sum_proj.coords),
+            }
+            verdict = PrimeVerdict(p, Certificate(p, STRATEGY_CYCLIC_GENERAL, witness))
+        if chi.order == group.order:
+            return verdict, True
+    if verdict is not None:
+        return verdict, False
+    reason = (
+        f"CyclicGeneral: no support character of multiplicity prime to "
+        f"{p} has a qualifying orbit (size prime to {p} with faithful "
+        f"restriction, or faithful orbit-sum restriction)"
     )
-
-
-def _generates_whole_group(chi: Character) -> bool:
-    return chi.order == chi.group.order
+    return PrimeVerdict(p, None, (reason,)), False
 
 
 def check_lines_generators(
@@ -272,8 +274,7 @@ def check_lines_generators(
     """
     group = V.group
     _require_prime_divisor(group, p)
-    pp = group.primary_part(p)
-    symmetries = aut_v_subgroup(group, V.multiplicities(), cap)
+    symmetries, partition = symmetry_of(V, cap)
     if not acts_trivially_on_lines(symmetries, p):
         return PrimeVerdict(
             p,
@@ -283,7 +284,6 @@ def check_lines_generators(
                 f"moves a line of the mod-{p} character quotient",
             ),
         )
-    partition = orbit_partition(symmetries)
     qualifying = []
     vectors = []
     for chi, m in V.entries:
@@ -303,7 +303,7 @@ def check_lines_generators(
         )
         vectors.append(image)
     rank = rank_mod_p(vectors, p)
-    if rank == pp.p_rank:
+    if rank == group.p_rank(p):
         witness = {
             "qualifying": qualifying,
             "generator_scalars": _generator_scalars(symmetries, p),
@@ -314,7 +314,7 @@ def check_lines_generators(
         None,
         (
             f"LinesAndGenerators: qualifying mod-{p} images span {rank} of "
-            f"{pp.p_rank} dimensions",
+            f"{group.p_rank(p)} dimensions",
         ),
     )
 
@@ -384,31 +384,30 @@ def neutrality_report(V: Representation, cap: int = DEFAULT_CAP) -> NeutralityRe
     for p in primes:
         verdict = check_prime(V, p, cap)
         verdicts.append(verdict)
-        if verdict.certified and verdict.certificate.strategy == STRATEGY_EASY_CYCLIC:
-            try:
-                alt = check_cyclic_general(V, p, cap)
-                if not alt.certified:
-                    notes.append(
-                        f"p = {p}: certified by EasyCyclic but by no orbit-based "
-                        f"strategy (diagnostic only, not an error)"
-                    )
-            except CapExceededError:
+        if group.p_rank(p) != 1:
+            continue
+        # EasyCyclic certifies only cyclic groups, whose p-rank is 1
+        easy = verdict.certified and verdict.certificate.strategy == STRATEGY_EASY_CYCLIC
+        try:
+            alt, faithful_witness = _cyclic_general(V, p, cap)
+        except CapExceededError:
+            if easy:
                 notes.append(
                     f"p = {p}: orbit-based cross-check skipped (closure cap exceeded)"
                 )
-        if group.p_rank(p) == 1:
-            try:
-                relaxed = check_cyclic_general(V, p, cap)
-                strict = _cyclic_general(V, p, cap, strict=True)
-                if relaxed.certified and not strict.certified:
-                    notes.append(
-                        f"p = {p}: CyclicGeneral certifies through a witness whose "
-                        f"restriction to the {p}-primary part is faithful, but no "
-                        f"witness is faithful on the whole group (the two readings "
-                        f"of the witness condition differ here)"
-                    )
-            except CapExceededError:
-                pass
+            continue
+        if easy and not alt.certified:
+            notes.append(
+                f"p = {p}: certified by EasyCyclic but by no orbit-based "
+                f"strategy (diagnostic only, not an error)"
+            )
+        if alt.certified and not faithful_witness:
+            notes.append(
+                f"p = {p}: CyclicGeneral certifies through a witness whose "
+                f"restriction to the {p}-primary part is faithful, but no "
+                f"witness is faithful on the whole group (the two readings "
+                f"of the witness condition differ here)"
+            )
     faithful = is_faithful(V)
     overall = (
         OVERALL_NEUTRAL if all(v.certified for v in verdicts) else OVERALL_UNKNOWN
@@ -448,12 +447,14 @@ def verify_certificate(V: Representation, cert: Certificate) -> bool:
         raise MalformedCertificateError("expected a Certificate")
     group = V.group
     p = cert.prime
-    if not isinstance(p, int) or isinstance(p, bool) or not is_prime(p):
+    if not isinstance(p, int) or isinstance(p, bool) or p < 2:
         raise MalformedCertificateError(f"certificate prime {p!r} is not a prime")
     if group.order % p:
         raise MalformedCertificateError(
             f"prime {p} does not divide the group order {group.order}"
         )
+    if not is_prime(p):
+        raise MalformedCertificateError(f"certificate prime {p!r} is not a prime")
     witness = cert.witness
     if not isinstance(witness, dict):
         raise MalformedCertificateError("certificate witness must be an object")
@@ -657,7 +658,7 @@ def _verify_lines_generators(V: Representation, p: int, witness: dict) -> bool:
         images.append(image)
     if witness["qualifying"] != qualifying:
         return False
-    if rank_mod_p(images, p) != pp.p_rank:
+    if rank_mod_p(images, p) != group.p_rank(p):
         return False
     return _closure_generates(pp.group, projections)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Mapping
 
 from .abelian import (
@@ -99,6 +99,20 @@ def fixed_dim(V: Representation, vanishing_set: Subgroup) -> int:
     if vanishing_set.group != V.group:
         raise ValueError("vanishing set lives in a different character group")
     return sum(m for chi, m in V.entries if vanishing_set.contains(chi))
+
+
+@lru_cache(maxsize=1)
+def symmetry_of(
+    V: Representation, cap: int = DEFAULT_CAP
+) -> tuple[AutVSubgroup, OrbitPartition]:
+    """The multiplicity-preserving automorphisms of V and their orbits.
+
+    Neither depends on a prime, so the strategies and diagnostics of one
+    report, and a blend of the same representation after it, share a single
+    build; only the latest (representation, cap) is kept.
+    """
+    symmetries = aut_v_subgroup(V.group, V.multiplicities(), cap)
+    return symmetries, orbit_partition(symmetries)
 
 
 def is_faithful(V: Representation) -> bool:
@@ -219,8 +233,7 @@ def blended_decomposition(
     """Compute the orbit partition of the character set under the
     multiplicity-preserving automorphisms, with per-orbit determinant
     characters."""
-    symmetries = aut_v_subgroup(V.group, V.multiplicities(), cap)
-    partition = orbit_partition(symmetries)
+    symmetries, partition = symmetry_of(V, cap)
     components = tuple(
         OrbitComponent(
             orbit=orb,

@@ -6,6 +6,7 @@ matrices, per-vector line checks, residue searches.  Nothing imports the
 package under test, so agreement between the two sides is meaningful.
 """
 
+import functools
 import itertools
 from math import gcd
 
@@ -103,9 +104,12 @@ def apply_matrix(matrix, coords, factors):
     )
 
 
+@functools.lru_cache(maxsize=None)
 def automorphism_perms(factors):
     """Permutations (on lexicographic element indices) of all bijective
-    endomorphisms, by exhausting the constrained matrices."""
+    endomorphisms, by exhausting the constrained matrices.  Memoised per
+    ``factors`` (a tuple), since the sweeps ask for the same few groups
+    thousands of times."""
     coords = all_coord_tuples(factors)
     index = {c: i for i, c in enumerate(coords)}
     out = set()
@@ -113,7 +117,7 @@ def automorphism_perms(factors):
         perm = tuple(index[apply_matrix(M, c, factors)] for c in coords)
         if len(set(perm)) == len(perm):
             out.add(perm)
-    return out
+    return frozenset(out)
 
 
 def orbits_of_perms(perms, n):

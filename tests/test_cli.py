@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -78,6 +79,12 @@ def test_check_single_prime(c4_file, capsys):
     assert doc["prime"] == 2 and doc["verdict"] == "certified"
     assert main(["check", c4_file, "--prime", "3"]) == 2
     assert main(["check", c4_file, "--prime", "4"]) == 2
+    # divisibility is tested before primality, so a huge --prime exits at once
+    start = time.perf_counter()
+    assert main(["check", c4_file, "--prime", "1000000000000000003"]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert main(["check", c4_file, "--prime", "0"]) == 2
+    assert main(["check", c4_file, "--prime", "-2"]) == 2
 
 
 def test_schema_error_exit_code(tmp_path, capsys):

@@ -2,9 +2,12 @@
 
 import itertools
 import json
+import time
 
 import pytest
 
+from neutralrep import autgroup
+from neutralrep import rep as rep_module
 from neutralrep.abelian import FiniteAbelianGroup
 from neutralrep.criteria import (
     Certificate,
@@ -127,6 +130,52 @@ def test_check_prime_propagates_cap():
     V = rep((5,), {(1,): 5, (2,): 5})  # defeats EasyCyclic and LargePrime
     with pytest.raises(CapExceededError):
         check_prime(V, 5, cap=1)
+
+
+def test_capped_closure_failure_is_not_repeated(monkeypatch):
+    # EasyCyclic certifies; the orbit-based cross-check needs all of
+    # Aut(Z/503), which outgrows the cap once and is then remembered
+    calls = []
+    original = autgroup.aut_generators
+
+    def counting(group):
+        calls.append(group)
+        return original(group)
+
+    monkeypatch.setattr(autgroup, "aut_generators", counting)
+    autgroup._cached_full_closure.cache_clear()
+    V = rep((503,), {(1,): 2})
+    report = neutrality_report(V, cap=10)
+    assert report.overall == OVERALL_NEUTRAL
+    assert report.notes == (
+        "p = 503: orbit-based cross-check skipped (closure cap exceeded)",
+    )
+    assert len(calls) == 1
+    with pytest.raises(CapExceededError):
+        check_cyclic_general(V, 503, cap=10)
+    assert neutrality_report(V, cap=10) == report
+    assert len(calls) == 1
+
+
+def test_symmetry_built_once_per_report_and_blend(monkeypatch):
+    calls = []
+    original = rep_module.aut_v_subgroup
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(rep_module, "aut_v_subgroup", counting)
+    rep_module.symmetry_of.cache_clear()
+    # p = 2 runs LinesAndGenerators, p = 3 CyclicGeneral and both notes
+    V = rep((2, 6), {(1, 0): 1, (0, 1): 2, (1, 3): 1})
+    report = neutrality_report(V)
+    assert [v.prime for v in report.verdicts] == [2, 3]
+    assert len(calls) == 1
+    rep_module.blended_decomposition(V)
+    assert len(calls) == 1
+    neutrality_report(V, cap=10**5)  # another cap is another entry
+    assert len(calls) == 2
 
 
 def test_neutrality_report_examples():
@@ -286,6 +335,14 @@ def test_verify_certificate_malformed():
         verify_certificate(C4, Certificate(2, cert.strategy, {"dim": 2}))
     with pytest.raises(MalformedCertificateError):
         verify_certificate(C4, Certificate(4, cert.strategy, cert.witness))
+    # divisibility is tested before primality, so a huge prime fails at once
+    start = time.perf_counter()
+    for p in (1000000000000000003, 0, 1, -2):
+        with pytest.raises(MalformedCertificateError):
+            verify_certificate(C4, Certificate(p, cert.strategy, cert.witness))
+        with pytest.raises(ValueError):
+            check_prime(C4, p)
+    assert time.perf_counter() - start < 1.0
     # EasyCyclic certificate replayed against a non-cyclic group
     V22 = rep((2, 2), {(1, 0): 1, (0, 1): 1})
     with pytest.raises(MalformedCertificateError):
