@@ -308,7 +308,12 @@ class FiniteAbelianGroup:
     # -- structure -----------------------------------------------------------
 
     def primary_part(self, p: int) -> "PrimaryPart":
-        """The p-primary direct summand, with the parent coordinates it uses."""
+        """The p-primary direct summand, with the parent coordinates it uses.
+        Built once per prime and kept on the group; its ``indices`` are the
+        one place that decides which coordinates are divisible by p."""
+        pp = self._primary_parts.get(p)
+        if pp is not None:
+            return pp
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         indices = []
@@ -321,12 +326,17 @@ class FiniteAbelianGroup:
             if e:
                 indices.append(i)
                 powers.append(p**e)
-        return PrimaryPart(
+        pp = self._primary_parts[p] = PrimaryPart(
             prime=p,
             group=FiniteAbelianGroup(tuple(powers)),
             parent=self,
             indices=tuple(indices),
         )
+        return pp
+
+    @cached_property
+    def _primary_parts(self) -> dict[int, "PrimaryPart"]:
+        return {}
 
     def p_rank(self, p: int) -> int:
         """Number of invariant factors divisible by p."""
@@ -492,33 +502,30 @@ def primary_projection(chi: Character, p: int) -> Character:
 def mod_p_image(chi: Character, p: int) -> tuple[int, ...]:
     """The image of the p-primary projection in the F_p vector space
     G_p / p*G_p: the coordinates mod p at the p-divisible positions."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    return tuple(
-        chi.coords[i] % p
-        for i, d in enumerate(chi.group.invariant_factors)
-        if d % p == 0
-    )
+    return tuple(chi.coords[i] % p for i in chi.group.primary_part(p).indices)
 
 
 def rank_mod_p(vectors: Sequence[Sequence[int]], p: int) -> int:
-    """Rank of a list of F_p row vectors, by Gaussian elimination."""
-    rows = [list(v) for v in vectors if any(x % p for x in v)]
-    rank = 0
-    width = len(rows[0]) if rows else 0
-    for col in range(width):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] % p), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][col], -1, p)
-        rows[rank] = [x * inv % p for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] % p:
-                c = rows[r][col]
-                rows[r] = [(x - c * y) % p for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
+    """Rank of a list of F_p row vectors.
+
+    Each row is reduced against the echelon basis of the rows before it
+    (every basis row is zero at the pivots chosen before its own), and the
+    scan stops once the basis spans the whole row space.
+    """
+    basis: list[tuple[int, list[int]]] = []  # (pivot column, row with 1 there)
+    for v in vectors:
+        row = [x % p for x in v]
+        for col, b in basis:
+            c = row[col]
+            if c:
+                row = [(x - c * y) % p for x, y in zip(row, b)]
+        col = next((j for j, x in enumerate(row) if x), None)
+        if col is not None:
+            inv = pow(row[col], -1, p)
+            basis.append((col, [x * inv % p for x in row]))
+            if len(basis) == len(row):
+                break
+    return len(basis)
 
 
 # ---------------------------------------------------------------------------
@@ -538,10 +545,11 @@ def generates(elements: Iterable[Character], group: FiniteAbelianGroup) -> bool:
     for chi in gens:
         if chi.group != group:
             raise ValueError("elements must belong to the given group")
-    return all(
-        rank_mod_p([mod_p_image(chi, p) for chi in gens], p) == group.p_rank(p)
-        for p in group.prime_divisors()
-    )
+    for p in group.prime_divisors():
+        idx = group.primary_part(p).indices
+        if rank_mod_p([[chi.coords[i] for i in idx] for chi in gens], p) < len(idx):
+            return False
+    return True
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,13 @@
 """Automorphisms of a finite abelian character group and their orbits.
 
-An automorphism is carried in two forms at once: an integer matrix (column j
-is the image of the j-th standard generator, entries of row i reduced mod
-d_i) feeding the mod-p line tests, and the induced permutation of the full
-character list feeding orbit computations.
+An automorphism is stored as its integer matrix alone: column j is the image
+of the j-th standard generator, entries of row i reduced mod d_i.  That form
+is canonical, feeds the mod-p line tests, and decides bijectivity without
+enumerating the group (a legal matrix is an automorphism exactly when its
+mod-p reduction on the p-divisible coordinates is invertible for every prime
+p; Hillar and Rhea, "Automorphisms of finite abelian groups", 2007).  The
+permutation of the full character list is derived on demand, only for orbit
+computations.
 
 The subgroup preserving an eigenspace-multiplicity map is computed by
 closing a standard generating set of the full automorphism group and
@@ -16,19 +20,24 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import mul
 from typing import Mapping, Sequence
 
-from .abelian import DEFAULT_CAP, Character, FiniteAbelianGroup
+from .abelian import DEFAULT_CAP, Character, FiniteAbelianGroup, rank_mod_p
 from .errors import CapExceededError
 
 
 @dataclass(frozen=True)
 class Automorphism:
-    """An automorphism of a finite abelian group, as matrix plus permutation."""
+    """An automorphism of a finite abelian group, stored as its matrix.
+
+    ``perm``, the induced permutation of the characters in lexicographic
+    order, is derived from the matrix on first use; only orbit computations
+    read it.
+    """
 
     group: FiniteAbelianGroup
     matrix: tuple[tuple[int, ...], ...]
-    perm: tuple[int, ...]
 
     @classmethod
     def from_matrix(
@@ -49,14 +58,18 @@ class Automorphism:
                         f"entry ({i},{j}) = {rows[i][j]} must be a multiple of "
                         f"{step} for the map to respect generator orders"
                     )
-        perm = _permutation_of(group, rows)
-        return cls(group, rows, perm)
+        a = cls(group, rows)
+        for p in group.prime_divisors():
+            induced = induced_mod_p_matrix(a, p)
+            if rank_mod_p(induced, p) < len(induced):
+                raise ValueError("matrix does not induce a bijection of the characters")
+        return a
 
     @classmethod
     def identity(cls, group: FiniteAbelianGroup) -> "Automorphism":
         k = group.rank
         rows = tuple(tuple(1 if i == j else 0 for j in range(k)) for i in range(k))
-        return cls(group, rows, tuple(range(group.order)))
+        return cls(group, rows)
 
     def apply(self, chi: Character) -> Character:
         if chi.group != self.group:
@@ -65,10 +78,7 @@ class Automorphism:
 
     def apply_coords(self, coords: Sequence[int]) -> tuple[int, ...]:
         d = self.group.invariant_factors
-        return tuple(
-            sum(row[j] * coords[j] for j in range(len(d))) % d[i]
-            for i, row in enumerate(self.matrix)
-        )
+        return tuple([sum(map(mul, row, coords)) % di for row, di in zip(self.matrix, d)])
 
     def __mul__(self, other: "Automorphism") -> "Automorphism":
         """Composition: ``(f * g)(x) == f(g(x))``."""
@@ -76,39 +86,21 @@ class Automorphism:
             return NotImplemented
         if other.group != self.group:
             raise ValueError("automorphisms of different groups")
-        d = self.group.invariant_factors
-        k = len(d)
+        cols = tuple(zip(*other.matrix))
         rows = tuple(
-            tuple(
-                sum(self.matrix[i][t] * other.matrix[t][j] for t in range(k)) % d[i]
-                for j in range(k)
-            )
-            for i in range(k)
+            tuple([sum(map(mul, row, col)) % di for col in cols])
+            for row, di in zip(self.matrix, self.group.invariant_factors)
         )
-        perm = tuple(self.perm[p] for p in other.perm)
-        return Automorphism(self.group, rows, perm)
+        return Automorphism(self.group, rows)
 
     @property
     def is_identity(self) -> bool:
-        return all(p == i for i, p in enumerate(self.perm))
+        return self == Automorphism.identity(self.group)
 
-
-def _permutation_of(
-    group: FiniteAbelianGroup, rows: tuple[tuple[int, ...], ...]
-) -> tuple[int, ...]:
-    coords_list = group.coordinate_tuples
-    d = group.invariant_factors
-    k = len(d)
-    index_of = group.index_of
-    perm = []
-    for coords in coords_list:
-        image = tuple(
-            sum(rows[i][j] * coords[j] for j in range(k)) % d[i] for i in range(k)
-        )
-        perm.append(index_of(image))
-    if len(set(perm)) != len(perm):
-        raise ValueError("matrix does not induce a bijection of the characters")
-    return tuple(perm)
+    @cached_property
+    def perm(self) -> tuple[int, ...]:
+        apply, index_of = self.apply_coords, self.group.index_of
+        return tuple(index_of(apply(c)) for c in self.group.coordinate_tuples)
 
 
 def aut_generators(group: FiniteAbelianGroup) -> list[Automorphism]:
@@ -159,17 +151,17 @@ def close_group(
         raise ValueError("need at least one automorphism to close over")
     group = gens[0].group
     ident = Automorphism.identity(group)
-    seen: dict[tuple[int, ...], Automorphism] = {ident.perm: ident}
+    seen: dict[tuple[tuple[int, ...], ...], Automorphism] = {ident.matrix: ident}
     frontier = [ident]
     while frontier:
         new = []
         for b in frontier:
             for g in gens:
                 c = g * b
-                if c.perm not in seen:
+                if c.matrix not in seen:
                     if len(seen) >= cap:
                         raise CapExceededError(cap)
-                    seen[c.perm] = c
+                    seen[c.matrix] = c
                     new.append(c)
         frontier = new
     return list(seen.values())
@@ -228,19 +220,21 @@ def aut_v_subgroup(
     under inverses the two actions give identical orbit partitions.
     """
     mult = [0] * group.order
+    support: dict[tuple[int, ...], int] = {}
     for chi, m in multiplicity.items():
         if chi.group != group:
             raise ValueError("multiplicity map keyed by foreign characters")
         if m < 0:
             raise ValueError("multiplicities cannot be negative")
         if m:
-            mult[group.index_of(chi.coords)] = int(m)
-    support = [i for i, m in enumerate(mult) if m]
+            mult[group.index_of(chi.coords)] = support[chi.coords] = int(m)
     full = _cached_full_closure(group, cap)
     if full is None:
         raise CapExceededError(cap)
     elements = [
-        a for a in full if all(mult[a.perm[i]] == mult[i] for i in support)
+        a
+        for a in full
+        if all(support.get(a.apply_coords(c)) == m for c, m in support.items())
     ]
     elements.sort(key=lambda a: a.matrix)
     return AutVSubgroup(
@@ -255,11 +249,11 @@ def _greedy_generators(
     group: FiniteAbelianGroup, elements: Sequence[Automorphism]
 ) -> list[Automorphism]:
     chosen: list[Automorphism] = []
-    covered = {Automorphism.identity(group).perm}
+    covered = {Automorphism.identity(group).matrix}
     for a in elements:
-        if a.perm not in covered:
+        if a.matrix not in covered:
             chosen.append(a)
-            covered = {b.perm for b in close_group(chosen, cap=max(len(elements), 1))}
+            covered = {b.matrix for b in close_group(chosen, cap=max(len(elements), 1))}
     return chosen
 
 
@@ -335,7 +329,7 @@ def orbit_partition(subgroup: AutVSubgroup) -> OrbitPartition:
 def induced_mod_p_matrix(a: Automorphism, p: int) -> list[list[int]]:
     """The matrix induced on the F_p space G_p / p*G_p: the submatrix on the
     p-divisible coordinates, reduced mod p."""
-    idxs = [i for i, d in enumerate(a.group.invariant_factors) if d % p == 0]
+    idxs = a.group.primary_part(p).indices
     return [[a.matrix[i][j] % p for j in idxs] for i in idxs]
 
 

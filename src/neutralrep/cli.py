@@ -159,13 +159,6 @@ def _print_verdict(verdict) -> None:
             print(f"  - {reason}")
 
 
-def _is_known_non_neutral(V: Representation) -> bool:
-    # standing regression instance: the doubled faithful character of Z/2
-    return V.group.invariant_factors == (2,) and V.entries == (
-        (V.group.character((1,)), 2),
-    )
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -208,11 +201,6 @@ def cmd_check(args) -> int:
         print(f"note: {note}")
     if report.overall == OVERALL_NEUTRAL:
         print("overall: NEUTRAL")
-    elif _is_known_non_neutral(V):
-        print(
-            "overall: UNKNOWN (criteria inconclusive; note: this instance is "
-            "provably not neutral, so an inconclusive verdict is the correct outcome)"
-        )
     else:
         print("overall: UNKNOWN (criteria inconclusive; NOT a proof of non-neutrality)")
     return 0

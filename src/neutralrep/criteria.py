@@ -527,11 +527,10 @@ def _recomputed_preserving_elements(V: Representation) -> list[Automorphism]:
     group = V.group
     gens = aut_generators(group)
     full = close_group(gens, DEFAULT_CAP) if gens else [Automorphism.identity(group)]
-    mult = [0] * group.order
-    for chi, m in V.entries:
-        mult[group.index_of(chi.coords)] = m
-    support = [i for i, m in enumerate(mult) if m]
-    elements = [a for a in full if all(mult[a.perm[i]] == mult[i] for i in support)]
+    mult = {chi.coords: m for chi, m in V.entries}
+    elements = [
+        a for a in full if all(mult.get(a.apply_coords(c)) == m for c, m in mult.items())
+    ]
     elements.sort(key=lambda a: a.matrix)
     return elements
 

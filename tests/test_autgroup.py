@@ -85,6 +85,30 @@ def test_from_matrix_validation():
     assert a.apply(chi).coords == ((1 + 1) % 2, (2 + 1) % 4)
 
 
+def test_from_matrix_accepts_exactly_the_bijections():
+    # from_matrix decides by mod-p ranks; the oracle by the map each legal
+    # matrix induces on the enumerated characters
+    cases = [
+        (2,), (4,), (6,), (12,), (2, 2), (2, 4), (2, 6), (3, 3),
+        (2, 2, 2), (2, 2, 4), (4, 4), (2, 12),
+    ]
+    checked = accepted = 0
+    for factors in cases:
+        group = FiniteAbelianGroup(factors)
+        coords = oracles.all_coord_tuples(factors)
+        for M in oracles.valid_endomorphism_matrices(factors):
+            images = {oracles.apply_matrix(M, c, factors) for c in coords}
+            try:
+                Automorphism.from_matrix(group, M)
+                ours = True
+            except ValueError:
+                ours = False
+            assert ours == (len(images) == len(coords)), (factors, M)
+            checked += 1
+            accepted += ours
+    assert (checked, accepted) == (2089, 555)
+
+
 def test_composition_matches_permutation():
     g = FiniteAbelianGroup((2, 4))
     closed = full_closure(g)

@@ -50,7 +50,7 @@ def test_check_unknown_with_sentinel_note(rho2_file, capsys):
     out = capsys.readouterr().out
     assert "overall: UNKNOWN" in out
     assert "criteria inconclusive" in out
-    assert "provably not neutral" in out
+    assert "NOT a proof of non-neutrality" in out
 
 
 def test_generic_unknown_wording(tmp_path, capsys):

@@ -155,6 +155,15 @@ def test_capped_closure_failure_is_not_repeated(monkeypatch):
         check_cyclic_general(V, 503, cap=10)
     assert neutrality_report(V, cap=10) == report
     assert len(calls) == 1
+    # deciding each generator's bijectivity by a mod-p rank, not by a
+    # permutation of all 2003 characters, keeps the failed closure cheap
+    start = time.perf_counter()
+    report = neutrality_report(rep((2003,), {(1,): 2}), cap=10)
+    assert time.perf_counter() - start < 1.0
+    assert report.overall == OVERALL_NEUTRAL
+    assert report.notes == (
+        "p = 2003: orbit-based cross-check skipped (closure cap exceeded)",
+    )
 
 
 def test_symmetry_built_once_per_report_and_blend(monkeypatch):
