@@ -6,8 +6,8 @@ is canonical, feeds the mod-p line tests, and decides bijectivity without
 enumerating the group (a legal matrix is an automorphism exactly when its
 mod-p reduction on the p-divisible coordinates is invertible for every prime
 p; Hillar and Rhea, "Automorphisms of finite abelian groups", 2007).  The
-permutation of the full character list is derived on demand, only for orbit
-computations.
+permutation of the character indices is derived on demand for orbits, which
+are tuples of indices: no ``Character`` is built until a caller asks.
 
 The subgroup preserving an eigenspace-multiplicity map is computed by
 closing a standard generating set of the full automorphism group and
@@ -259,40 +259,50 @@ def _greedy_generators(
 
 @dataclass(frozen=True)
 class Orbit:
-    """One orbit of characters, with its common eigenspace multiplicity."""
+    """One orbit of characters, held as its members' sorted lexicographic
+    indices, with their common eigenspace multiplicity.  ``characters`` and
+    ``sum_coords``, the coordinates of the orbit sum, are built on first use."""
 
-    characters: tuple[Character, ...]
+    group: FiniteAbelianGroup
+    indices: tuple[int, ...]
     multiplicity: int
 
     @property
     def size(self) -> int:
-        return len(self.characters)
+        return len(self.indices)
+
+    @cached_property
+    def characters(self) -> tuple[Character, ...]:
+        group, coords = self.group, self.group.coordinate_tuples
+        return tuple(Character(coords[i], group) for i in self.indices)
+
+    @cached_property
+    def sum_coords(self) -> tuple[int, ...]:
+        columns = zip(*(self.group.coordinate_tuples[i] for i in self.indices))
+        return tuple(sum(c) % d for c, d in zip(columns, self.group.invariant_factors))
 
 
 @dataclass(frozen=True)
 class OrbitPartition:
-    """The partition of all characters into orbits, ordered by their
-    lexicographically least representative."""
+    """The partition of all characters into orbits, ordered by their least
+    members; ``orbit_of`` looks a character up by its index."""
 
     group: FiniteAbelianGroup
     orbits: tuple[Orbit, ...]
 
     def orbit_of(self, chi: Character) -> Orbit:
-        return self.orbits[self._orbit_index[chi.coords]]
+        return self.orbits[self._orbit_number[self.group.index_of(chi.coords)]]
 
     @cached_property
-    def _orbit_index(self) -> dict[tuple[int, ...], int]:
-        return {
-            ch.coords: n for n, orb in enumerate(self.orbits) for ch in orb.characters
-        }
+    def _orbit_number(self) -> dict[int, int]:
+        return {i: n for n, orbit in enumerate(self.orbits) for i in orbit.indices}
 
 
 def orbit_partition(subgroup: AutVSubgroup) -> OrbitPartition:
     """Orbits of the character set under the subgroup, each orbit sorted and
     the orbit list ordered by least representative."""
     group = subgroup.group
-    coords_list = group.coordinate_tuples
-    n = len(coords_list)
+    n = group.order
     perms = [a.perm for a in subgroup.generator_subset] or [tuple(range(n))]
     seen = [False] * n
     orbits = []
@@ -317,12 +327,7 @@ def orbit_partition(subgroup: AutVSubgroup) -> OrbitPartition:
                 "multiplicity map is not constant on an orbit; the subgroup "
                 "does not preserve it"
             )
-        orbits.append(
-            Orbit(
-                characters=tuple(group.character(coords_list[i]) for i in members),
-                multiplicity=mults.pop(),
-            )
-        )
+        orbits.append(Orbit(group, tuple(members), mults.pop()))
     return OrbitPartition(group=group, orbits=tuple(orbits))
 
 

@@ -29,19 +29,20 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 from .abelian import (
     DEFAULT_CAP,
     Character,
     FiniteAbelianGroup,
+    Subgroup,
     character_sum,
     generates,
     is_prime,
     mod_p_image,
     primary_projection,
     rank_mod_p,
-    restriction_faithful_on_primary,
 )
 from .autgroup import (
     Automorphism,
@@ -149,9 +150,7 @@ def check_easy_cyclic(V: Representation, p: int) -> PrimeVerdict:
             f"group has {group.rank} invariant factors; EasyCyclic needs a cyclic group"
         )
     _require_prime_divisor(group, p)
-    # characters trivial on mu_p are exactly the multiples of p
-    vanishing = group.subgroup([group.character((p,))])
-    fixed = fixed_dim(V, vanishing)
+    fixed = fixed_dim(V, _mu_p_vanishing_set(group, p))
     diff = V.dim - fixed
     if diff % p:
         witness = {"dim": V.dim, "fixed_dim": fixed}
@@ -164,6 +163,12 @@ def check_easy_cyclic(V: Representation, p: int) -> PrimeVerdict:
             f"is divisible by p = {p}",
         ),
     )
+
+
+@lru_cache(maxsize=64)
+def _mu_p_vanishing_set(group: FiniteAbelianGroup, p: int) -> Subgroup:
+    """The characters of a cyclic group trivial on mu_p: the multiples of p."""
+    return group.subgroup([group.character((p,))])
 
 
 def check_large_prime(V: Representation, p: int) -> PrimeVerdict:
@@ -207,13 +212,32 @@ def check_cyclic_general(
     The witness is the lexicographically least qualifying character; branch
     (b) is preferred when both apply.
     """
-    return _cyclic_general(V, p, cap)[0]
+    found, _ = _cyclic_general(V, p, cap)
+    if found is None:
+        reason = (
+            f"CyclicGeneral: no support character of multiplicity prime to "
+            f"{p} has a qualifying orbit (size prime to {p} with faithful "
+            f"restriction, or faithful orbit-sum restriction)"
+        )
+        return PrimeVerdict(p, None, (reason,))
+    chi, m, orbit_size, branch, restriction, orbit_sum_restriction = found
+    witness = {
+        "character": list(chi.coords),
+        "multiplicity": m,
+        "orbit_size": orbit_size,
+        "branch": branch,
+        "restriction": [restriction],
+        "orbit_sum_restriction": [orbit_sum_restriction],
+    }
+    return PrimeVerdict(p, Certificate(p, STRATEGY_CYCLIC_GENERAL, witness))
 
 
-def _cyclic_general(V: Representation, p: int, cap: int) -> tuple[PrimeVerdict, bool]:
-    """The CyclicGeneral verdict, and whether some qualifying character is
-    faithful on the whole group and not only on the p-primary part (the
-    stricter reading of the witness condition)."""
+@lru_cache(maxsize=1)
+def _cyclic_general(V: Representation, p: int, cap: int) -> tuple[tuple | None, bool]:
+    """The least qualifying character with its witness data, or None, and
+    whether some qualifying character is faithful on the whole group, not only
+    on the p-primary part (the stricter reading of the witness condition).
+    Immutable, so the latest one is kept for the notes of the same report."""
     group = V.group
     _require_prime_divisor(group, p)
     if group.p_rank(p) > 1:
@@ -222,42 +246,26 @@ def _cyclic_general(V: Representation, p: int, cap: int) -> tuple[PrimeVerdict, 
             f"lines-and-generators criterion instead"
         )
     _, partition = symmetry_of(V, cap)
-    verdict = None
+    pp = group.primary_part(p)  # cyclic: one coordinate i, of order q = p^e
+    (i,), (q,) = pp.indices, pp.group.invariant_factors
+    found = None
     for chi, m in V.entries:
         if m % p == 0:
             continue
         orbit = partition.orbit_of(chi)
-        proj = primary_projection(chi, p)
-        chi_faithful = restriction_faithful_on_primary(chi, p)
-        orbit_sum = character_sum(orbit.characters, group)
-        orbit_sum_proj = primary_projection(orbit_sum, p)
-        orbit_sum_faithful = restriction_faithful_on_primary(orbit_sum, p)
-        if orbit.size % p != 0 and chi_faithful:
+        restriction = chi.coords[i] % q
+        orbit_sum_restriction = orbit.sum_coords[i] % q
+        if orbit.size % p != 0 and restriction % p:
             branch = "b"
-        elif orbit_sum_faithful:
+        elif orbit_sum_restriction % p:
             branch = "a"
         else:
             continue
-        if verdict is None:
-            witness = {
-                "character": list(chi.coords),
-                "multiplicity": m,
-                "orbit_size": orbit.size,
-                "branch": branch,
-                "restriction": list(proj.coords),
-                "orbit_sum_restriction": list(orbit_sum_proj.coords),
-            }
-            verdict = PrimeVerdict(p, Certificate(p, STRATEGY_CYCLIC_GENERAL, witness))
+        if found is None:
+            found = (chi, m, orbit.size, branch, restriction, orbit_sum_restriction)
         if chi.order == group.order:
-            return verdict, True
-    if verdict is not None:
-        return verdict, False
-    reason = (
-        f"CyclicGeneral: no support character of multiplicity prime to "
-        f"{p} has a qualifying orbit (size prime to {p} with faithful "
-        f"restriction, or faithful orbit-sum restriction)"
-    )
-    return PrimeVerdict(p, None, (reason,)), False
+            return found, True
+    return found, False
 
 
 def check_lines_generators(
@@ -290,8 +298,7 @@ def check_lines_generators(
         if m % p == 0:
             continue
         orbit = partition.orbit_of(chi)
-        orbit_sum = character_sum(orbit.characters, group)
-        if any(mod_p_image(orbit_sum, p)):
+        if any(orbit.sum_coords[i] % p for i in group.primary_part(p).indices):
             tag = "a"
         elif orbit.size % p != 0:
             tag = "b"
@@ -389,19 +396,19 @@ def neutrality_report(V: Representation, cap: int = DEFAULT_CAP) -> NeutralityRe
         # EasyCyclic certifies only cyclic groups, whose p-rank is 1
         easy = verdict.certified and verdict.certificate.strategy == STRATEGY_EASY_CYCLIC
         try:
-            alt, faithful_witness = _cyclic_general(V, p, cap)
+            found, faithful_witness = _cyclic_general(V, p, cap)
         except CapExceededError:
             if easy:
                 notes.append(
                     f"p = {p}: orbit-based cross-check skipped (closure cap exceeded)"
                 )
             continue
-        if easy and not alt.certified:
+        if easy and found is None:
             notes.append(
                 f"p = {p}: certified by EasyCyclic but by no orbit-based "
                 f"strategy (diagnostic only, not an error)"
             )
-        if alt.certified and not faithful_witness:
+        if found is not None and not faithful_witness:
             notes.append(
                 f"p = {p}: CyclicGeneral certifies through a witness whose "
                 f"restriction to the {p}-primary part is faithful, but no "

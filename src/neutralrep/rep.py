@@ -3,9 +3,9 @@
 A representation of a diagonalizable group is determined by the dimensions
 of its eigenspaces, one per character.  Everything downstream works at that
 multiplicity level: fixed subspaces of subgroups are counted through the
-vanishing set of characters, pseudoreflections are found through the
-character/point pairing, and no vector space over any particular field is
-ever materialized.
+vanishing set of characters, pseudoreflections by scanning point tuples
+against the pre-scaled support characters, and no vector space over any
+particular field is ever materialized.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import mul
 from typing import Mapping
 
 from .abelian import (
@@ -20,7 +21,6 @@ from .abelian import (
     Character,
     FiniteAbelianGroup,
     Subgroup,
-    character_sum,
     generates,
 )
 from .autgroup import AutVSubgroup, Orbit, OrbitPartition, aut_v_subgroup, orbit_partition
@@ -167,19 +167,28 @@ def group_elements(group: FiniteAbelianGroup):
 
 def pseudoreflections(V: Representation) -> list[GroupElement]:
     """All non-identity group elements acting nontrivially on exactly a
-    1-dimensional eigenspace (fixed subspace of codimension 1).
+    1-dimensional eigenspace (fixed subspace of codimension 1).  Points are
+    scanned as tuples against the support scaled by exponent/d_i, and a point
+    is dropped once it moves more than one dimension.
 
     The combinatorial computation is unconditional; interpreting the result
     as geometric pseudoreflections assumes the group order is invertible in
     the intended base field.
     """
+    d, e = V.group.invariant_factors, V.group.exponent
+    scaled = [([a * (e // di) for a, di in zip(chi.coords, d)], m) for chi, m in V.entries]
+    points = itertools.product(*map(range, d))
+    next(points)  # the identity comes first and moves nothing
     out = []
-    for g in group_elements(V.group):
-        if g.is_identity:
-            continue
-        moved = sum(m for chi, m in V.entries if pairing(chi, g) != 0)
+    for g in points:
+        moved = 0
+        for w, m in scaled:
+            if sum(map(mul, w, g)) % e:
+                moved += m
+                if moved > 1:
+                    break
         if moved == 1:
-            out.append(g)
+            out.append(GroupElement(g, V.group))
     return out
 
 
@@ -237,8 +246,7 @@ def blended_decomposition(
     components = tuple(
         OrbitComponent(
             orbit=orb,
-            det_character=orb.multiplicity
-            * character_sum(orb.characters, V.group),
+            det_character=V.group.character([orb.multiplicity * a for a in orb.sum_coords]),
         )
         for orb in partition.orbits
     )

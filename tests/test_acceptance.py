@@ -14,6 +14,7 @@ import time
 import oracles
 from neutralrep.abelian import FiniteAbelianGroup, generates, smith_normal_form
 from neutralrep.autgroup import aut_v_subgroup, is_scalar_matrix_mod_p, orbit_partition
+from neutralrep.cli import _bounded_vectors
 from neutralrep.criteria import (
     OVERALL_NEUTRAL,
     OVERALL_UNKNOWN,
@@ -38,15 +39,6 @@ def _result(name, ok, detail):
 
 def rep(factors, mult):
     return Representation.from_multiplicities(FiniteAbelianGroup(factors), mult)
-
-
-def bounded_vectors(slots, total):
-    if slots == 0:
-        yield ()
-        return
-    for first in range(total + 1):
-        for rest in bounded_vectors(slots - 1, total - first):
-            yield (first,) + rest
 
 
 def test_criterion_1_worked_examples():
@@ -168,7 +160,7 @@ def test_criterion_5_criteria_consistency():
     for n in (2, 3, 4, 5, 6, 8, 9, 12):
         group = FiniteAbelianGroup((n,))
         primes = group.prime_divisors()
-        for vec in bounded_vectors(n, 4):
+        for vec in _bounded_vectors(n, 4):
             V = Representation.from_multiplicities(
                 group, {(i,): m for i, m in enumerate(vec) if m}
             )
@@ -247,7 +239,7 @@ def _sweep_reports():
     chunks = []
     for n in (2, 3, 4, 5, 6, 8, 9, 12):
         group = FiniteAbelianGroup((n,))
-        for vec in bounded_vectors(n, 3):
+        for vec in _bounded_vectors(n, 3):
             V = Representation.from_multiplicities(
                 group, {(i,): m for i, m in enumerate(vec) if m}
             )

@@ -6,7 +6,7 @@ import random
 import pytest
 
 import oracles
-from neutralrep.abelian import FiniteAbelianGroup
+from neutralrep.abelian import FiniteAbelianGroup, character_sum
 from neutralrep.autgroup import (
     Automorphism,
     acts_trivially_on_lines,
@@ -218,11 +218,20 @@ def test_orbits_match_bruteforce_endomorphism_oracle():
                     for perm in brute
                     if all(by_index[perm[i]] == by_index[i] for i in range(len(tuples)))
                 ]
-                assert ours == oracles.orbits_of_perms(kept, len(tuples)), (
-                    factors,
-                    support,
-                    mults,
-                )
+                brute_orbits = oracles.orbits_of_perms(kept, len(tuples))
+                assert ours == brute_orbits, (factors, support, mults)
+                # the orbits hold indices; what is derived from them agrees
+                # with the brute-force members and with character_sum
+                expected = sorted(sorted(o) for o in brute_orbits)
+                assert [list(o.indices) for o in part.orbits] == expected
+                for orbit, members in zip(part.orbits, expected):
+                    chars = [group.character(tuples[i]) for i in members]
+                    assert list(orbit.characters) == chars
+                    assert orbit.size == len(members)
+                    assert orbit.sum_coords == character_sum(chars, group).coords
+                    assert orbit.multiplicity == by_index[members[0]]
+                for chi in group.characters():
+                    assert chi in part.orbit_of(chi).characters
 
 
 def test_acts_trivially_matches_literal_element_check():

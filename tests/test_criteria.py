@@ -7,6 +7,7 @@ import time
 import pytest
 
 from neutralrep import autgroup
+from neutralrep import criteria as criteria_module
 from neutralrep import rep as rep_module
 from neutralrep.abelian import FiniteAbelianGroup
 from neutralrep.criteria import (
@@ -184,6 +185,36 @@ def test_symmetry_built_once_per_report_and_blend(monkeypatch):
     rep_module.blended_decomposition(V)
     assert len(calls) == 1
     neutrality_report(V, cap=10**5)  # another cap is another entry
+    assert len(calls) == 2
+
+
+def test_cyclic_general_runs_once_per_prime_in_a_report(monkeypatch):
+    # each run of the CyclicGeneral pass reads the symmetry once; the
+    # diagnostic notes reuse the pass check_prime already made
+    calls = []
+    original = criteria_module.symmetry_of
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(criteria_module, "symmetry_of", counting)
+    criteria_module._cyclic_general.cache_clear()
+    # EasyCyclic and LargePrime decline at p = 2 and p = 3, so check_prime
+    # runs CyclicGeneral for both before the notes ask for it again
+    report = neutrality_report(rep((6,), {(1,): 1, (4,): 1, (5,): 1}))
+    assert [v.certificate.strategy for v in report.verdicts] == [
+        STRATEGY_CYCLIC_GENERAL,
+        STRATEGY_CYCLIC_GENERAL,
+    ]
+    assert len(calls) == 2
+    # EasyCyclic certifies p = 5; only the notes run the pass
+    calls.clear()
+    assert neutrality_report(rep((5,), {(1,): 2})).notes == ()
+    assert len(calls) == 1
+    # p = 2 runs LinesAndGenerators, p = 3 CyclicGeneral and both notes
+    calls.clear()
+    neutrality_report(rep((2, 6), {(1, 0): 1, (0, 1): 2, (1, 3): 1}))
     assert len(calls) == 2
 
 

@@ -1,5 +1,6 @@
 """Representations: dimensions, fixed subspaces, pseudoreflections, blends."""
 
+import itertools
 import random
 
 import pytest
@@ -98,6 +99,32 @@ def test_pseudoreflections_examples():
     assert [g.coords for g in pseudoreflections(V)] == [(2,)]
     assert pseudoreflections(rep((2,), {(1,): 2})) == []
     assert [g.coords for g in pseudoreflections(rep((2,), {(1,): 1}))] == [(1,)]
+
+
+def test_pseudoreflections_match_definition():
+    # groups with unequal invariant factors, where the exponent/d_i weights
+    # of the pairing matter; every map with at most two support characters
+    for factors in [(2, 6), (4, 8), (3, 9), (2, 2, 4)]:
+        group = FiniteAbelianGroup(factors)
+        points = [g for g in group_elements(group) if not g.is_identity]
+        tuples = oracles.all_coord_tuples(factors)
+        for size in (0, 1, 2):
+            for support in itertools.combinations(tuples, size):
+                for mults in itertools.product((1, 2), repeat=size):
+                    V = rep(factors, dict(zip(support, mults)))
+                    expected = [
+                        g
+                        for g in points
+                        if sum(m for chi, m in V.entries if pairing(chi, g)) == 1
+                    ]
+                    assert pseudoreflections(V) == expected, (factors, support, mults)
+
+
+def test_pseudoreflections_do_not_materialize_the_group():
+    group = FiniteAbelianGroup((6, 60))
+    V = Representation.from_multiplicities(group, {(1, 0): 1, (0, 1): 1})
+    assert len(pseudoreflections(V)) == 5 + 59
+    assert "coordinate_tuples" not in group.__dict__
 
 
 def test_pseudoreflections_ignore_support_order():
