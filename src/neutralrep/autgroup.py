@@ -11,8 +11,10 @@ are tuples of indices: no ``Character`` is built until a caller asks.
 
 The subgroup preserving an eigenspace-multiplicity map is computed by
 closing a standard generating set of the full automorphism group and
-filtering, never by stabilizer-chain search; the element cap makes oversized
-closures fail loudly instead of silently slow.
+filtering, never by stabilizer-chain search.  The closure is built coset by
+coset (Dimino's algorithm), about one matrix product per element, and the
+element cap is checked before each coset is listed, so oversized closures
+fail loudly instead of silently slow.
 """
 
 from __future__ import annotations
@@ -142,29 +144,44 @@ def aut_generators(group: FiniteAbelianGroup) -> list[Automorphism]:
 def close_group(
     gens: Sequence[Automorphism], cap: int = DEFAULT_CAP
 ) -> list[Automorphism]:
-    """Breadth-first closure of a nonempty generator list, in deterministic
-    discovery order.  Raises :class:`CapExceededError` when the subgroup
-    would exceed ``cap`` elements."""
+    """Closure of a nonempty generator list by coset enumeration (Dimino's
+    algorithm), in a deterministic order starting with the identity.
+    Raises :class:`CapExceededError` before listing a coset that would take
+    the subgroup past ``cap`` elements, that is, exactly when the closure
+    has more than ``cap`` elements."""
     if cap < 1:
         raise ValueError("cap must be at least 1")
     if not gens:
         raise ValueError("need at least one automorphism to close over")
-    group = gens[0].group
-    ident = Automorphism.identity(group)
-    seen: dict[tuple[tuple[int, ...], ...], Automorphism] = {ident.matrix: ident}
-    frontier = [ident]
-    while frontier:
-        new = []
-        for b in frontier:
-            for g in gens:
-                c = g * b
-                if c.matrix not in seen:
-                    if len(seen) >= cap:
-                        raise CapExceededError(cap)
-                    seen[c.matrix] = c
-                    new.append(c)
-        frontier = new
-    return list(seen.values())
+    ident = Automorphism.identity(gens[0].group)
+    elements, seen, used = [ident], {ident.matrix}, []
+    for s in gens:
+        _extend_closure(elements, seen, used, s, cap)
+    return elements
+
+
+def _extend_closure(
+    elements: list[Automorphism], seen: set, used: list[Automorphism], s: Automorphism, cap: int
+) -> None:
+    """Grow ``elements``, the closure of ``used`` listed identity first, and
+    ``seen``, its matrices, in place to the closure of ``used + [s]``.  Each
+    right coset H*r of the subgroup H built so far is listed starting with r,
+    and r*t is tried for every such r and used generator t."""
+    if s.matrix in seen:
+        return
+    subgroup = elements[:]
+    used.append(s)
+    rep = 0
+    while rep < len(elements):
+        for t in used:
+            r = elements[rep] * t
+            if r.matrix not in seen:
+                if len(elements) + len(subgroup) > cap:
+                    raise CapExceededError(cap)
+                coset = [r] + [h * r for h in subgroup[1:]]
+                elements.extend(coset)
+                seen.update(a.matrix for a in coset)
+        rep += len(subgroup)
 
 
 @lru_cache(maxsize=64)
@@ -248,12 +265,10 @@ def aut_v_subgroup(
 def _greedy_generators(
     group: FiniteAbelianGroup, elements: Sequence[Automorphism]
 ) -> list[Automorphism]:
-    chosen: list[Automorphism] = []
-    covered = {Automorphism.identity(group).matrix}
+    ident = Automorphism.identity(group)
+    closure, covered, chosen = [ident], {ident.matrix}, []
     for a in elements:
-        if a.matrix not in covered:
-            chosen.append(a)
-            covered = {b.matrix for b in close_group(chosen, cap=max(len(elements), 1))}
+        _extend_closure(closure, covered, chosen, a, cap=len(elements))
     return chosen
 
 

@@ -120,6 +120,24 @@ def automorphism_perms(factors):
     return frozenset(out)
 
 
+def perm_closure(perms, n):
+    """The group generated by permutations of range(n), as a set, by
+    breadth-first search; the identity alone when ``perms`` is empty."""
+    ident = tuple(range(n))
+    seen = {ident}
+    frontier = [ident]
+    while frontier:
+        new = []
+        for x in frontier:
+            for g in perms:
+                y = tuple(g[i] for i in x)
+                if y not in seen:
+                    seen.add(y)
+                    new.append(y)
+        frontier = new
+    return seen
+
+
 def orbits_of_perms(perms, n):
     """Canonical partition of range(n) under a set of permutations."""
     perms = list(perms) or [tuple(range(n))]

@@ -9,6 +9,7 @@ import oracles
 from neutralrep.abelian import FiniteAbelianGroup, character_sum
 from neutralrep.autgroup import (
     Automorphism,
+    _greedy_generators,
     acts_trivially_on_lines,
     aut_generators,
     aut_v_subgroup,
@@ -44,7 +45,9 @@ def test_generators_reach_full_automorphism_group():
 
 def test_generators_reach_full_automorphism_group_higher_rank():
     # (2,2,2) and (2,2,2,2) give the full linear groups over F_2
-    for factors, expected in [((2, 2, 2), 168), ((2, 2, 4), 192), ((2, 2, 2, 2), 20160)]:
+    # and (3,3,3) gives GL3(F_3), the Hillar-Rhea order 11232
+    cases = [((2, 2, 2), 168), ((2, 2, 4), 192), ((2, 2, 2, 2), 20160), ((3, 3, 3), 11232)]
+    for factors, expected in cases:
         group = FiniteAbelianGroup(factors)
         ours = {a.perm for a in full_closure(group)}
         assert len(ours) == expected
@@ -59,6 +62,36 @@ def test_close_group_basics():
     closed = close_group([negation])
     assert sorted(a.matrix for a in closed) == [((1,),), ((4,),)]
     assert len(close_group(aut_generators(FiniteAbelianGroup((7,))))) == 6
+    # random generator lists, with repeats and the identity mixed in, close
+    # to the group a breadth-first search over their permutations reaches
+    rng = random.Random(31)
+    for factors in [(12,), (2, 2, 2), (2, 4), (3, 3), (2, 2, 4)]:
+        group = FiniteAbelianGroup(factors)
+        pool = aut_generators(group)
+        for _ in range(6):
+            picks = rng.sample(pool, k=rng.randint(1, min(4, len(pool))))
+            gens = picks + picks[:1] + [Automorphism.identity(group)]
+            rng.shuffle(gens)
+            closed = close_group(gens)
+            assert len({a.matrix for a in closed}) == len(closed)
+            expected = oracles.perm_closure([a.perm for a in gens], group.order)
+            assert {a.perm for a in closed} == expected, (factors, gens)
+
+
+def test_closure_takes_about_one_product_per_element(monkeypatch):
+    products = 0
+    compose = Automorphism.__mul__
+
+    def counting(a, b):
+        nonlocal products
+        products += 1
+        return compose(a, b)
+
+    monkeypatch.setattr(Automorphism, "__mul__", counting)
+    for factors, order in [((3, 3, 3), 11232), ((2, 2, 2, 2), 20160), ((97,), 96)]:
+        products = 0
+        assert len(close_group(aut_generators(FiniteAbelianGroup(factors)))) == order
+        assert products <= 2 * order, (factors, products)
 
 
 def test_close_group_cap():
@@ -71,6 +104,29 @@ def test_close_group_cap():
         close_group([], cap=10)
     with pytest.raises(ValueError):
         close_group([Automorphism.identity(g5)], cap=0)
+    # the cap is exact: a closure fits a cap of its own size and no less
+    for factors, order in [((2, 2, 2), 168), ((3, 3), 48), ((12,), 4), ((2, 4), 8)]:
+        gens = aut_generators(FiniteAbelianGroup(factors))
+        assert len(close_group(gens, cap=order)) == order
+        with pytest.raises(CapExceededError):
+            close_group(gens, cap=order - 1)
+
+
+def test_greedy_generators_pick_exactly_the_new_elements():
+    # each pick lies outside the breadth-first closure of the picks before
+    # it, and every element outside that closure is picked
+    rng = random.Random(8)
+    for factors in [(12,), (2, 4), (3, 3), (2, 2, 2), (2, 2, 4)]:
+        group = FiniteAbelianGroup(factors)
+        full = sorted(full_closure(group), key=lambda a: a.matrix)
+        shuffled = rng.sample(full, k=len(full))
+        for elements in (full, shuffled):
+            expected, covered = [], oracles.perm_closure([], group.order)
+            for a in elements:
+                if a.perm not in covered:
+                    expected.append(a)
+                    covered = oracles.perm_closure([b.perm for b in expected], group.order)
+            assert _greedy_generators(group, elements) == expected, factors
 
 
 def test_from_matrix_validation():
