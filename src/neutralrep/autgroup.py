@@ -3,29 +3,38 @@
 An automorphism is stored as its integer matrix alone: column j is the image
 of the j-th standard generator, entries of row i reduced mod d_i.  That form
 is canonical, feeds the mod-p line tests, and decides bijectivity without
-enumerating the group (a legal matrix is an automorphism exactly when its
-mod-p reduction on the p-divisible coordinates is invertible for every prime
-p; Hillar and Rhea, "Automorphisms of finite abelian groups", 2007).  The
-permutation of the character indices is derived on demand for orbits, which
-are tuples of indices: no ``Character`` is built until a caller asks.
+enumerating the group: a legal matrix is an automorphism exactly when, for
+every prime p, its rows on the p-divisible coordinates are independent mod p
+within each block of equal p-exponent (Hillar and Rhea, "Automorphisms of
+finite abelian groups", 2007).  The permutation of the character indices is
+derived on demand for orbits, which are tuples of indices: no ``Character``
+is built until a caller asks.
 
-The subgroup preserving an eigenspace-multiplicity map is computed by
-closing a standard generating set of the full automorphism group and
-filtering, never by stabilizer-chain search.  The closure is built coset by
-coset (Dimino's algorithm), about one matrix product per element, and the
-element cap is checked before each coset is listed, so oversized closures
-fail loudly instead of silently slow.
+The subgroup preserving an eigenspace-multiplicity map is found by a
+backtrack over matrix rows in lexicographic order, a set-stabilizer search
+in the style of Leon ("Permutation group algorithms based on partitions, I",
+1991): after row i the first i+1 image coordinates of every support
+character must begin a support character of the same multiplicity, and a
+row that breaks the mod-p independence is never tried, so every leaf is an
+automorphism that maps the support into itself.  Aut(G) is not listed to
+find it: its order comes from the Hillar-Rhea closed form, and the element
+cap refuses the search before it starts.  Closures of generator lists are
+built coset by coset (Dimino's algorithm), by ``close_group`` for
+certificate replay and by the same step for the greedy generating subset of
+AutV.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import mul
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
-from .abelian import DEFAULT_CAP, Character, FiniteAbelianGroup, rank_mod_p
+from .abelian import DEFAULT_CAP, Character, FiniteAbelianGroup
 from .errors import CapExceededError
 
 
@@ -60,12 +69,11 @@ class Automorphism:
                         f"entry ({i},{j}) = {rows[i][j]} must be a multiple of "
                         f"{step} for the map to respect generator orders"
                     )
-        a = cls(group, rows)
-        for p in group.prime_divisors():
-            induced = induced_mod_p_matrix(a, p)
-            if rank_mod_p(induced, p) < len(induced):
+        blocks = _mod_p_blocks(group)
+        for i, row in enumerate(rows):
+            if not _independence_test(blocks[i], rows)(row):
                 raise ValueError("matrix does not induce a bijection of the characters")
-        return a
+        return cls(group, rows)
 
     @classmethod
     def identity(cls, group: FiniteAbelianGroup) -> "Automorphism":
@@ -103,6 +111,89 @@ class Automorphism:
     def perm(self) -> tuple[int, ...]:
         apply, index_of = self.apply_coords, self.group.index_of
         return tuple(index_of(apply(c)) for c in self.group.coordinate_tuples)
+
+
+@lru_cache(maxsize=64)
+def _mod_p_blocks(group: FiniteAbelianGroup) -> tuple[tuple[tuple, ...], ...]:
+    """For each row i, one (p, columns, rows above) triple per prime p | d_i.
+
+    Entry (i, j) of a legal matrix is divisible by p when d_j has fewer
+    factors p than d_i, so mod p the rows and columns at the p-divisible
+    coordinates form a block upper triangular matrix whose diagonal blocks
+    gather the coordinates of equal p-exponent.  It is invertible exactly
+    when each row, on the columns of its block, is independent of the rows
+    above it in that block."""
+    blocks: list[list[tuple]] = [[] for _ in group.invariant_factors]
+    for p in group.prime_divisors():
+        pp = group.primary_part(p)
+        power = dict(zip(pp.indices, pp.group.invariant_factors))
+        for i in pp.indices:
+            cols = tuple(j for j in pp.indices if power[j] == power[i])
+            blocks[i].append((p, cols, tuple(j for j in cols if j < i)))
+    return tuple(map(tuple, blocks))
+
+
+def _independence_test(
+    blocks: Sequence[tuple], rows: Sequence[Sequence[int]]
+) -> Callable[[Sequence[int]], bool]:
+    """A test of whether a row is independent mod p, on the columns of each
+    of its ``blocks``, of the rows of ``rows`` that the block names as above
+    it (those rows are independent).  They are brought to echelon form once,
+    so each row tested costs one reduction per block."""
+    reduced = []
+    for p, cols, above in blocks:
+        basis: list[tuple[int, list[int]]] = []  # (pivot column, row with 1 there)
+        for a in above:
+            v = _reduce_mod_p([rows[a][j] for j in cols], basis, p)
+            pivot = next(j for j, x in enumerate(v) if x)
+            inv = pow(v[pivot], -1, p)
+            basis.append((pivot, [x * inv % p for x in v]))
+        reduced.append((p, cols, basis))
+    return lambda row: all(
+        any(_reduce_mod_p([row[j] for j in cols], basis, p)) for p, cols, basis in reduced
+    )
+
+
+def _reduce_mod_p(v: list[int], basis: list[tuple[int, list[int]]], p: int) -> list[int]:
+    """``v`` mod p, reduced against an echelon ``basis``."""
+    v = [x % p for x in v]
+    for pivot, b in basis:
+        c = v[pivot]
+        if c:
+            v = [(x - c * y) % p for x, y in zip(v, b)]
+    return v
+
+
+@lru_cache(maxsize=256)
+def aut_order(group: FiniteAbelianGroup) -> int:
+    """|Aut(G)| from the invariant factors alone, by the closed form of
+    Hillar and Rhea on each primary part: with p-exponents e_1 <= ... <= e_n,
+    d_k = #{l : e_l <= e_k} and c_k = #{l : e_l < e_k} + 1,
+    |Aut(G_p)| = prod_k (p^d_k - p^(k-1)) p^(e_k (n - d_k)) p^((e_k - 1)(n - c_k + 1))."""
+    total = 1
+    for p in group.prime_divisors():
+        exps = []
+        for q in group.primary_part(p).group.invariant_factors:
+            e = 0
+            while q > 1:
+                q //= p
+                e += 1
+            exps.append(e)
+        n = len(exps)
+        for k, e in enumerate(exps, 1):
+            d, c = bisect_right(exps, e), bisect_left(exps, e) + 1
+            total *= (p**d - p ** (k - 1)) * p ** (e * (n - d) + (e - 1) * (n - c + 1))
+    return total
+
+
+def check_aut_order(group: FiniteAbelianGroup, cap: int) -> None:
+    """Raise :class:`CapExceededError`, carrying |Aut(G)|, when it exceeds
+    ``cap``; called before any automorphism is listed."""
+    order = aut_order(group)
+    if order > cap:
+        raise CapExceededError(
+            cap, f"|Aut(G)| = {order} exceeds the element cap ({cap})", size=order
+        )
 
 
 def aut_generators(group: FiniteAbelianGroup) -> list[Automorphism]:
@@ -184,22 +275,6 @@ def _extend_closure(
         rep += len(subgroup)
 
 
-@lru_cache(maxsize=64)
-def _cached_full_closure(
-    group: FiniteAbelianGroup, cap: int
-) -> tuple[Automorphism, ...] | None:
-    """The full closure, or None when it outgrows the cap: ``lru_cache``
-    does not keep exceptions, so the failure is cached as a value instead
-    of being enumerated again on every call."""
-    gens = aut_generators(group)
-    if not gens:
-        return (Automorphism.identity(group),)
-    try:
-        return tuple(close_group(gens, cap))
-    except CapExceededError:
-        return None
-
-
 @dataclass(frozen=True)
 class AutVSubgroup:
     """The subgroup of automorphisms preserving a multiplicity map.
@@ -228,9 +303,12 @@ def aut_v_subgroup(
 ) -> AutVSubgroup:
     """All automorphisms under which the multiplicity map is invariant.
 
-    Closes the full automorphism group (cached per group and cap) and keeps
-    the elements matching the map on its support; matching on the support
-    forces matching everywhere because the map vanishes off it.
+    Raises :class:`CapExceededError` when |Aut(G)| exceeds ``cap``, before
+    any search.  Otherwise the elements are the leaves of a backtrack over
+    matrix rows (``_preserving_matrices``), in lexicographic order of their
+    matrices: bijections that map each support character to one of the same
+    multiplicity.  Such a bijection permutes each multiplicity class of the
+    support, and the map vanishes off the support, so it preserves the map.
 
     The computation lives on the character side.  Transporting to the point
     side is an anti-isomorphism, and since the computed subgroup is closed
@@ -245,21 +323,72 @@ def aut_v_subgroup(
             raise ValueError("multiplicities cannot be negative")
         if m:
             mult[group.index_of(chi.coords)] = support[chi.coords] = int(m)
-    full = _cached_full_closure(group, cap)
-    if full is None:
-        raise CapExceededError(cap)
-    elements = [
-        a
-        for a in full
-        if all(support.get(a.apply_coords(c)) == m for c, m in support.items())
-    ]
-    elements.sort(key=lambda a: a.matrix)
+    check_aut_order(group, cap)
+    elements = [_automorphism(group, rows) for rows in _preserving_matrices(group, support)]
     return AutVSubgroup(
         group=group,
         multiplicity_by_index=tuple(mult),
         elements=tuple(elements),
         generator_subset=tuple(_greedy_generators(group, elements)),
     )
+
+
+# One instance per (group, matrix), so a derived ``perm`` is kept across
+# the representations whose subgroups share the automorphism.
+_automorphism = lru_cache(maxsize=1 << 14)(Automorphism)
+
+
+@lru_cache(maxsize=256)
+def _candidate_rows(group: FiniteAbelianGroup, i: int) -> tuple[tuple[int, ...], ...]:
+    """The legal rows i in lexicographic order, keeping those that can begin
+    their block for every prime p | d_i (nonzero mod p on its columns).  For
+    a cyclic group these are the units."""
+    d = group.invariant_factors
+    first = [(p, cols, ()) for p, cols, _ in _mod_p_blocks(group)[i]]
+    entries = [range(0, d[i], d[i] // math.gcd(d[i], dj)) for dj in d]
+    return tuple(filter(_independence_test(first, ()), itertools.product(*entries)))
+
+
+def _preserving_matrices(
+    group: FiniteAbelianGroup, support: Mapping[tuple[int, ...], int]
+) -> list[tuple[tuple[int, ...], ...]]:
+    """The automorphism matrices mapping each support character to one of
+    the same multiplicity, in lexicographic order, built row by row.
+
+    Row i gives coordinate i of every image, so after it the first i+1
+    image coordinates of each support character must begin some support
+    character of the same multiplicity.  A row is tried only when it keeps
+    the rows independent mod p (``_independence_test``), so every leaf is a
+    bijection and every node extends to an automorphism."""
+    d = group.invariant_factors
+    k = len(d)
+    items = list(support.items())
+    prefixes = [{(c[: i + 1], m) for c, m in items} for i in range(k)]
+    dependent = [tuple(b for b in blocks if b[2]) for blocks in _mod_p_blocks(group)]
+    found: list[tuple[tuple[int, ...], ...]] = []
+    # depth first; children are pushed in reverse so they pop in lex order
+    stack: list[tuple[tuple, list]] = [((), [()] * len(items))]
+    while stack:
+        rows, images = stack.pop()
+        i = len(rows)
+        if i == k:
+            found.append(rows)
+            continue
+        di, allowed = d[i], prefixes[i]
+        independent = _independence_test(dependent[i], rows)
+        children = []
+        for row in _candidate_rows(group, i):
+            grown = []
+            for (c, m), image in zip(items, images):
+                image += (sum(map(mul, row, c)) % di,)
+                if (image, m) not in allowed:
+                    break
+                grown.append(image)
+            else:
+                if independent(row):
+                    children.append((rows + (row,), grown))
+        stack.extend(reversed(children))
+    return found
 
 
 def _greedy_generators(

@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Exit codes: 0 for any completed computation (an Unknown verdict is a result,
-not an error), 2 for schema or input problems, 3 for a closure cap overflow.
+not an error), 2 for schema or input problems, 3 when |Aut(G)| exceeds the
+element cap.
 All I/O is UTF-8 JSON or plain text.
 """
 

@@ -49,6 +49,7 @@ from .autgroup import (
     _greedy_generators,
     acts_trivially_on_lines,
     aut_generators,
+    check_aut_order,
     close_group,
     induced_mod_p_matrix,
 )
@@ -530,8 +531,10 @@ def _verify_large_prime(V: Representation, p: int, witness: dict) -> bool:
 
 
 def _recomputed_preserving_elements(V: Representation) -> list[Automorphism]:
-    """The multiplicity-preserving automorphisms, rebuilt without caches."""
+    """The multiplicity-preserving automorphisms, rebuilt without caches.
+    A group whose |Aut(G)| exceeds the cap is refused before any work."""
     group = V.group
+    check_aut_order(group, DEFAULT_CAP)
     gens = aut_generators(group)
     full = close_group(gens, DEFAULT_CAP) if gens else [Automorphism.identity(group)]
     mult = {chi.coords: m for chi, m in V.entries}

@@ -1,9 +1,9 @@
 """Exception types shared across the package.
 
 ``InputError`` and its subclasses cover malformed documents, presentations
-and certificates (CLI exit code 2).  ``CapExceededError`` signals that a
-closure enumeration outgrew its element cap (CLI exit code 3).  Everything
-else is a precondition violation surfaced to the caller.
+and certificates (CLI exit code 2).  ``CapExceededError`` signals that an
+enumeration outgrew, or would outgrow, its element cap (CLI exit code 3).
+Everything else is a precondition violation surfaced to the caller.
 """
 
 
@@ -40,10 +40,12 @@ class MalformedCertificateError(InputError):
 
 
 class CapExceededError(NeutralRepError):
-    """A closure enumeration exceeded the configured element cap."""
+    """An enumeration exceeded, or was predicted to exceed, the configured
+    element cap; ``size`` is the predicted size when one was computed."""
 
-    def __init__(self, cap, message=None):
+    def __init__(self, cap, message=None, size=None):
         self.cap = cap
+        self.size = size
         super().__init__(message or f"closure exceeded the element cap ({cap})")
 
 

@@ -1,29 +1,54 @@
 """Automorphism closure, multiplicity-preserving subgroups, orbits, lines."""
 
+import functools
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
+from neutralrep import autgroup
+from neutralrep import criteria as criteria_module
+from neutralrep import rep as rep_module
 from neutralrep.abelian import FiniteAbelianGroup, character_sum
 from neutralrep.autgroup import (
     Automorphism,
     _greedy_generators,
     acts_trivially_on_lines,
     aut_generators,
+    aut_order,
     aut_v_subgroup,
     close_group,
     induced_mod_p_matrix,
     is_scalar_matrix_mod_p,
     orbit_partition,
 )
+from neutralrep.criteria import STRATEGY_LINES_AND_GENERATORS, neutrality_report
 from neutralrep.errors import CapExceededError
+from neutralrep.rep import Representation, blended_decomposition
 
 
 def full_closure(group):
     gens = aut_generators(group)
     return close_group(gens) if gens else [Automorphism.identity(group)]
+
+
+@functools.lru_cache(maxsize=None)
+def sorted_full_closure(factors):
+    return tuple(sorted(full_closure(FiniteAbelianGroup(factors)), key=lambda a: a.matrix))
+
+
+def filtered_closure(group, mult_map):
+    """AutV the old way: every element of the full closure that keeps the
+    multiplicity of each support character, in matrix order."""
+    support = {chi.coords: m for chi, m in mult_map.items() if m}
+    return [
+        a.matrix
+        for a in sorted_full_closure(group.invariant_factors)
+        if all(support.get(a.apply_coords(c)) == m for c, m in support.items())
+    ]
 
 
 def test_generator_closure_counts():
@@ -39,8 +64,10 @@ def test_generators_reach_full_automorphism_group():
     cases = [(n,) for n in range(2, 17)] + [(2, 2), (2, 4), (3, 3)]
     for factors in cases:
         group = FiniteAbelianGroup(factors)
-        ours = {a.perm for a in full_closure(group)}
+        closed = full_closure(group)
+        ours = {a.perm for a in closed}
         assert ours == oracles.automorphism_perms(factors), factors
+        assert aut_order(group) == len(closed), factors
 
 
 def test_generators_reach_full_automorphism_group_higher_rank():
@@ -49,9 +76,11 @@ def test_generators_reach_full_automorphism_group_higher_rank():
     cases = [((2, 2, 2), 168), ((2, 2, 4), 192), ((2, 2, 2, 2), 20160), ((3, 3, 3), 11232)]
     for factors, expected in cases:
         group = FiniteAbelianGroup(factors)
-        ours = {a.perm for a in full_closure(group)}
+        closed = full_closure(group)
+        ours = {a.perm for a in closed}
         assert len(ours) == expected
         assert ours == oracles.automorphism_perms(factors), factors
+        assert aut_order(group) == len(closed) == expected, factors
 
 
 def test_close_group_basics():
@@ -184,6 +213,95 @@ def test_aut_v_subgroup_examples():
     assert sym2.order == 1
     g2 = FiniteAbelianGroup((2,))
     assert aut_v_subgroup(g2, {g2.character((1,)): 3}).order == 1
+
+
+def test_backtrack_matches_filtered_closure():
+    # the row backtrack gives the same matrices, in the same order, as
+    # filtering the full closure; the supports include the empty one, ones
+    # holding the zero character and ones whose characters have every
+    # coordinate nonzero (a relabelling that defeats column-wise pruning)
+    rng = random.Random(41)
+    groups = [
+        (2,), (12,), (30,), (2, 2), (2, 4), (3, 3), (6, 12), (2, 2, 2),
+        (2, 4, 8), (3, 3, 3), (2, 2, 2, 2),
+    ]
+    for factors in groups:
+        group = FiniteAbelianGroup(factors)
+        tuples = group.coordinate_tuples
+        dense = [c for c in tuples if all(c)]
+        supports = [[], [tuples[0]], [tuples[0], tuples[-1]]]
+        for _ in range(2):
+            supports.append(rng.sample(tuples, k=rng.randint(1, min(4, len(tuples)))))
+            supports.append(rng.sample(dense, k=rng.randint(1, min(3, len(dense)))))
+        for support in supports:
+            mult_map = {group.character(c): rng.randint(1, 3) for c in support}
+            sym = aut_v_subgroup(group, mult_map)
+            assert [a.matrix for a in sym.elements] == filtered_closure(group, mult_map), (
+                factors,
+                support,
+            )
+
+
+# every group of order at most 64 whose full closure is cheap enough to
+# serve as the oracle of a property test
+SMALL_GROUPS = [f for f in oracles.all_groups(64) if aut_order(FiniteAbelianGroup(f)) <= 2000]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.data())
+def test_backtrack_property_matches_filtered_closure(data):
+    factors = data.draw(st.sampled_from(SMALL_GROUPS))
+    group = FiniteAbelianGroup(factors)
+    indices = data.draw(
+        st.lists(st.integers(0, group.order - 1), max_size=min(6, group.order), unique=True)
+    )
+    mults = data.draw(st.lists(st.integers(1, 3), min_size=len(indices), max_size=len(indices)))
+    mult_map = {
+        group.character(group.coordinate_tuples[i]): m for i, m in zip(indices, mults)
+    }
+    sym = aut_v_subgroup(group, mult_map)
+    assert [a.matrix for a in sym.elements] == filtered_closure(group, mult_map)
+
+
+def test_aut_v_subgroup_never_enumerates_aut_g(monkeypatch):
+    # e1 + 2 e2 + 4 e3 on (Z/3)^3, relabelled by an automorphism whose
+    # matrix has no zero entry: |Aut(G)| = 11,232 but |AutV| = 1
+    calls = []
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for module in (autgroup, criteria_module):
+        for name in ("aut_generators", "close_group"):
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    rep_module.symmetry_of.cache_clear()
+    group = FiniteAbelianGroup((3, 3, 3))
+    a = Automorphism.from_matrix(group, [[1, 1, 2], [1, 2, 1], [2, 1, 1]])
+    basis = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    V = Representation.from_multiplicities(
+        group, {a.apply_coords(e): m for e, m in zip(basis, (1, 2, 4))}
+    )
+    assert all(all(chi.coords) for chi in V.support)
+    report = neutrality_report(V)
+    assert report.verdicts[0].certificate.strategy == STRATEGY_LINES_AND_GENERATORS
+    assert blended_decomposition(V).symmetries.order == 1
+    assert calls == []
+
+
+def test_cap_refuses_before_the_search():
+    # |Aut(G)| decides the cap: the old closure raised exactly when it
+    # outgrew the cap, and the backtrack is now refused before it starts
+    g = FiniteAbelianGroup((3, 3, 3))
+    V = {g.character((1, 0, 0)): 1, g.character((0, 1, 0)): 2, g.character((0, 0, 1)): 4}
+    assert aut_v_subgroup(g, V, cap=11232).order == 1
+    with pytest.raises(CapExceededError) as info:
+        aut_v_subgroup(g, V, cap=11231)
+    assert (info.value.cap, info.value.size) == (11231, 11232)
+    assert str(info.value) == "|Aut(G)| = 11232 exceeds the element cap (11231)"
 
 
 def test_generator_subset_generates_elements():

@@ -131,6 +131,46 @@ def test_blend_output(tmp_path, capsys):
     assert main(["blend", str(path), "--cap", "0"]) == 2
 
 
+def z5_cubed_doc(multiplicities):
+    basis = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    return {
+        "group": {"invariant_factors": [5, 5, 5]},
+        "representation": [
+            {"character": e, "multiplicity": m} for e, m in zip(basis, multiplicities)
+        ],
+    }
+
+
+def test_cap_is_decided_before_the_work(tmp_path, capsys):
+    # |Aut((Z/5)^3)| = |GL3(F5)| = 1,488,000 exceeds the default cap, which
+    # the closed form for |Aut(G)| tells before any automorphism is listed
+    path = tmp_path / "z5.json"
+    path.write_text(json.dumps(z5_cubed_doc([2, 2, 2])))
+    start = time.perf_counter()
+    assert main(["check", str(path)]) == 3
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: |Aut(G)| = 1488000 exceeds the element cap (1000000)\n"
+    # with distinct multiplicities AutV is trivial, so a cap above |Aut(G)|
+    # certifies without listing Aut(G)
+    path.write_text(json.dumps(z5_cubed_doc([1, 2, 3])))
+    start = time.perf_counter()
+    assert main(["check", str(path), "--cap", "2000000", "--json"]) == 0
+    assert time.perf_counter() - start < 2.0
+    report_text = capsys.readouterr().out
+    report = json.loads(report_text)
+    assert report["overall"] == "neutral"
+    # verify closes Aut(G) at the default cap, so it refuses this
+    # certificate at once instead of after 10^6 products
+    certfile = tmp_path / "report.json"
+    certfile.write_text(report_text)
+    start = time.perf_counter()
+    assert main(["verify", str(path), str(certfile)]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert "|Aut(G)| = 1488000 exceeds the element cap (1000000)" in capsys.readouterr().err
+
+
 def test_blend_trivial_group(tmp_path, capsys):
     path = tmp_path / "triv.json"
     path.write_text(

@@ -134,8 +134,8 @@ def test_check_prime_propagates_cap():
 
 
 def test_capped_closure_failure_is_not_repeated(monkeypatch):
-    # EasyCyclic certifies; the orbit-based cross-check needs all of
-    # Aut(Z/503), which outgrows the cap once and is then remembered
+    # EasyCyclic certifies; the orbit-based cross-check is refused because
+    # |Aut(Z/503)| = 502 exceeds the cap, before any automorphism is built
     calls = []
     original = autgroup.aut_generators
 
@@ -144,20 +144,19 @@ def test_capped_closure_failure_is_not_repeated(monkeypatch):
         return original(group)
 
     monkeypatch.setattr(autgroup, "aut_generators", counting)
-    autgroup._cached_full_closure.cache_clear()
     V = rep((503,), {(1,): 2})
     report = neutrality_report(V, cap=10)
     assert report.overall == OVERALL_NEUTRAL
     assert report.notes == (
         "p = 503: orbit-based cross-check skipped (closure cap exceeded)",
     )
-    assert len(calls) == 1
+    assert len(calls) == 0
     with pytest.raises(CapExceededError):
         check_cyclic_general(V, 503, cap=10)
     assert neutrality_report(V, cap=10) == report
-    assert len(calls) == 1
-    # deciding each generator's bijectivity by a mod-p rank, not by a
-    # permutation of all 2003 characters, keeps the failed closure cheap
+    assert len(calls) == 0
+    # |Aut(Z/2003)| = 2002 is known from the order alone, so the refused
+    # cross-check costs nothing
     start = time.perf_counter()
     report = neutrality_report(rep((2003,), {(1,): 2}), cap=10)
     assert time.perf_counter() - start < 1.0
@@ -165,6 +164,22 @@ def test_capped_closure_failure_is_not_repeated(monkeypatch):
     assert report.notes == (
         "p = 2003: orbit-based cross-check skipped (closure cap exceeded)",
     )
+
+
+def test_verify_refuses_before_it_enumerates(monkeypatch):
+    # verify closes Aut(G) at the default cap; |Aut((Z/5)^3)| = 1,488,000
+    # is over it, so the replay is refused before aut_generators runs
+    calls = []
+    monkeypatch.setattr(criteria_module, "aut_generators", lambda group: calls.append(group))
+    V = rep((5, 5, 5), {(1, 0, 0): 1, (0, 1, 0): 2, (0, 0, 1): 3})
+    verdict = check_prime(V, 5, cap=2_000_000)
+    assert verdict.certificate.strategy == STRATEGY_LINES_AND_GENERATORS
+    start = time.perf_counter()
+    with pytest.raises(CapExceededError) as info:
+        verify_certificate(V, verdict.certificate)
+    assert time.perf_counter() - start < 1.0
+    assert (info.value.cap, info.value.size) == (10**6, 1488000)
+    assert calls == []
 
 
 def test_symmetry_built_once_per_report_and_blend(monkeypatch):
