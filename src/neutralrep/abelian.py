@@ -541,13 +541,18 @@ def generates(elements: Iterable[Character], group: FiniteAbelianGroup) -> bool:
     span the Frattini quotient F_p^{p-rank}.  So the question is decided by
     one mod-p rank per prime divisor, never by enumerating the group.
     """
-    gens = list(elements)
-    for chi in gens:
-        if chi.group != group:
+    coords = []
+    for chi in elements:
+        if chi.group is not group and chi.group != group:
             raise ValueError("elements must belong to the given group")
+        coords.append(chi.coords)
     for p in group.prime_divisors():
         idx = group.primary_part(p).indices
-        if rank_mod_p([[chi.coords[i] for i in idx] for chi in gens], p) < len(idx):
+        if len(idx) == 1:  # a cyclic p-part: some coordinate must be prime to p
+            i = idx[0]
+            if not any(c[i] % p for c in coords):
+                return False
+        elif rank_mod_p([[c[i] for i in idx] for c in coords], p) < len(idx):
             return False
     return True
 

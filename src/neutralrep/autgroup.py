@@ -18,10 +18,15 @@ character must begin a support character of the same multiplicity, and a
 row that breaks the mod-p independence is never tried, so every leaf is an
 automorphism that maps the support into itself.  Aut(G) is not listed to
 find it: its order comes from the Hillar-Rhea closed form, and the element
-cap refuses the search before it starts.  Closures of generator lists are
-built coset by coset (Dimino's algorithm), by ``close_group`` for
-certificate replay and by the same step for the greedy generating subset of
-AutV.
+cap refuses the search before it starts.
+
+Closures of generator lists are built one left coset r*H at a time
+(Dimino's algorithm), on column form: an element is the tuple of its
+columns, so r is evaluated once on the distinct columns of H and each r*h is
+read off by lookups, with no matrix product.  The same step serves
+``close_group``, the column-form closure that certificate replay filters,
+and the greedy generating subset of AutV; an :class:`Automorphism` is built
+only where a caller receives one.
 """
 
 from __future__ import annotations
@@ -236,42 +241,77 @@ def close_group(
     gens: Sequence[Automorphism], cap: int = DEFAULT_CAP
 ) -> list[Automorphism]:
     """Closure of a nonempty generator list by coset enumeration (Dimino's
-    algorithm), in a deterministic order starting with the identity.
+    algorithm) on column form, listed one left coset at a time and starting
+    with the identity, in a deterministic order that is not lexicographic.
     Raises :class:`CapExceededError` before listing a coset that would take
     the subgroup past ``cap`` elements, that is, exactly when the closure
     has more than ``cap`` elements."""
+    columns = _close_columns(gens, cap)
+    return [Automorphism(gens[0].group, tuple(zip(*cols))) for cols in columns]
+
+
+def _close_columns(
+    gens: Sequence[Automorphism],
+    cap: int = DEFAULT_CAP,
+    extra: Sequence[tuple[int, ...]] = (),
+) -> list[tuple[tuple[int, ...], ...]]:
+    """``close_group`` in column form, with no :class:`Automorphism` built:
+    each element is the tuple of its columns, the images of the standard
+    generators, followed by its images of the ``extra`` points."""
     if cap < 1:
         raise ValueError("cap must be at least 1")
     if not gens:
         raise ValueError("need at least one automorphism to close over")
-    ident = Automorphism.identity(gens[0].group)
-    elements, seen, used = [ident], {ident.matrix}, []
+    # the identity matrix is its own column form
+    ident = Automorphism.identity(gens[0].group).matrix + tuple(extra)
+    elements, seen, used = [ident], {ident}, []
     for s in gens:
         _extend_closure(elements, seen, used, s, cap)
     return elements
 
 
+def _images(
+    rows: Sequence[Sequence[int]], d: Sequence[int], points: Sequence[Sequence[int]]
+) -> list[tuple[int, ...]]:
+    """The image of each point under the matrix with these rows: one
+    matrix-vector product per point, each coordinate i reduced mod d_i."""
+    rd = list(zip(rows, d))
+    return [tuple([sum(map(mul, row, x)) % di for row, di in rd]) for x in points]
+
+
 def _extend_closure(
-    elements: list[Automorphism], seen: set, used: list[Automorphism], s: Automorphism, cap: int
+    elements: list[tuple], seen: set, used: list[Automorphism], s: Automorphism, cap: int
 ) -> None:
-    """Grow ``elements``, the closure of ``used`` listed identity first, and
-    ``seen``, its matrices, in place to the closure of ``used + [s]``.  Each
-    right coset H*r of the subgroup H built so far is listed starting with r,
-    and r*t is tried for every such r and used generator t."""
-    if s.matrix in seen:
+    """Grow ``elements``, the closure of ``used`` in column form listed
+    identity first, and ``seen``, its set, in place to the closure of
+    ``used + [s]``, appending ``s`` to ``used``; do nothing when ``s`` lies
+    in the closure already.  Every element carries, after its k columns, its
+    images of the points that follow them in the identity.
+
+    Each left coset r*H of the subgroup H built so far is listed starting
+    with r: r is evaluated once on the distinct points among H's elements,
+    and r*h, the images of r on the points of h, is looked up from those
+    images.  The next representatives t*r are tried for every used
+    generator t, by applying t to the points of r."""
+    d = s.group.invariant_factors
+    k = len(d)
+    if tuple(zip(*s.matrix)) + tuple(_images(s.matrix, d, elements[0][k:])) in seen:
         return
     subgroup = elements[:]
+    points = list(dict.fromkeys(itertools.chain.from_iterable(subgroup)))
     used.append(s)
     rep = 0
     while rep < len(elements):
+        g = elements[rep]
         for t in used:
-            r = elements[rep] * t
-            if r.matrix not in seen:
+            r = tuple(_images(t.matrix, d, g))
+            if r not in seen:
                 if len(elements) + len(subgroup) > cap:
                     raise CapExceededError(cap)
-                coset = [r] + [h * r for h in subgroup[1:]]
+                image = dict(zip(points, _images(tuple(zip(*r[:k])), d, points)))
+                coset = [tuple([image[c] for c in h]) for h in subgroup]
                 elements.extend(coset)
-                seen.update(a.matrix for a in coset)
+                seen.update(coset)
         rep += len(subgroup)
 
 
@@ -394,8 +434,10 @@ def _preserving_matrices(
 def _greedy_generators(
     group: FiniteAbelianGroup, elements: Sequence[Automorphism]
 ) -> list[Automorphism]:
-    ident = Automorphism.identity(group)
-    closure, covered, chosen = [ident], {ident.matrix}, []
+    """The members of ``elements`` that lie outside the closure of the
+    members chosen before them, in order."""
+    ident = Automorphism.identity(group).matrix
+    closure, covered, chosen = [ident], {ident}, []
     for a in elements:
         _extend_closure(closure, covered, chosen, a, cap=len(elements))
     return chosen

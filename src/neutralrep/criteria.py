@@ -46,11 +46,11 @@ from .abelian import (
 )
 from .autgroup import (
     Automorphism,
+    _close_columns,
     _greedy_generators,
     acts_trivially_on_lines,
     aut_generators,
     check_aut_order,
-    close_group,
     induced_mod_p_matrix,
 )
 from .errors import (
@@ -532,32 +532,30 @@ def _verify_large_prime(V: Representation, p: int, witness: dict) -> bool:
 
 def _recomputed_preserving_elements(V: Representation) -> list[Automorphism]:
     """The multiplicity-preserving automorphisms, rebuilt without caches.
-    A group whose |Aut(G)| exceeds the cap is refused before any work."""
+    A group whose |Aut(G)| exceeds the cap is refused before any work.  The
+    closure is filtered in column form, and only the survivors become
+    :class:`Automorphism` objects."""
     group = V.group
     check_aut_order(group, DEFAULT_CAP)
     gens = aut_generators(group)
-    full = close_group(gens, DEFAULT_CAP) if gens else [Automorphism.identity(group)]
+    if not gens:
+        return [Automorphism.identity(group)]
+    k = group.rank
     mult = {chi.coords: m for chi, m in V.entries}
-    elements = [
-        a for a in full if all(mult.get(a.apply_coords(c)) == m for c, m in mult.items())
-    ]
+    wanted = tuple(mult.values())
+    elements = []
+    for images in _close_columns(gens, DEFAULT_CAP, tuple(mult)):
+        if tuple(map(mult.get, images[k:])) == wanted:
+            elements.append(Automorphism(group, tuple(zip(*images[:k]))))
     elements.sort(key=lambda a: a.matrix)
     return elements
 
 
-def _orbit_indices(
-    group: FiniteAbelianGroup, elements: Sequence[Automorphism], start: int
-) -> list[int]:
-    seen = {start}
-    stack = [start]
-    while stack:
-        x = stack.pop()
-        for a in elements:
-            y = a.perm[x]
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return sorted(seen)
+def _orbit(elements: Sequence[Automorphism], chi: Character) -> list[Character]:
+    """The orbit of ``chi`` under ``elements``, which form a group: its
+    images, one matrix-vector product per element."""
+    group = chi.group
+    return [group.character(c) for c in {a.apply_coords(chi.coords) for a in elements}]
 
 
 def _verify_cyclic_general(V: Representation, p: int, witness: dict) -> bool:
@@ -591,19 +589,18 @@ def _verify_cyclic_general(V: Representation, p: int, witness: dict) -> bool:
     if witness["multiplicity"] != m or m == 0 or m % p == 0:
         return False
     elements = _recomputed_preserving_elements(V)
-    orbit_idx = _orbit_indices(group, elements, group.index_of(chi.coords))
-    if witness["orbit_size"] != len(orbit_idx):
+    orbit = _orbit(elements, chi)
+    if witness["orbit_size"] != len(orbit):
         return False
     proj = primary_projection(chi, p)
     if witness["restriction"] != list(proj.coords):
         return False
-    orbit_chars = [group.character(group.coordinate_tuples[i]) for i in orbit_idx]
-    orbit_sum_proj = primary_projection(character_sum(orbit_chars, group), p)
+    orbit_sum_proj = primary_projection(character_sum(orbit, group), p)
     if witness["orbit_sum_restriction"] != list(orbit_sum_proj.coords):
         return False
     pp_group = group.primary_part(p).group
     if witness["branch"] == "b":
-        return len(orbit_idx) % p != 0 and _closure_generates(pp_group, [proj])
+        return len(orbit) % p != 0 and _closure_generates(pp_group, [proj])
     return _closure_generates(pp_group, [orbit_sum_proj])
 
 
@@ -650,12 +647,11 @@ def _verify_lines_generators(V: Representation, p: int, witness: dict) -> bool:
     for chi, m in V.entries:
         if m % p == 0:
             continue
-        orbit_idx = _orbit_indices(group, elements, group.index_of(chi.coords))
-        orbit_chars = [group.character(group.coordinate_tuples[i]) for i in orbit_idx]
-        orbit_sum = character_sum(orbit_chars, group)
+        orbit = _orbit(elements, chi)
+        orbit_sum = character_sum(orbit, group)
         if any(mod_p_image(orbit_sum, p)):
             tag = "a"
-        elif len(orbit_idx) % p != 0:
+        elif len(orbit) % p != 0:
             tag = "b"
         else:
             continue
