@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -264,7 +264,7 @@ class FiniteAbelianGroup:
 
     @cached_property
     def _prime_divisors(self) -> tuple[int, ...]:
-        return tuple(sorted(prime_factorization(self.order))) if not self.is_trivial else ()
+        return _prime_divisors(self.order)
 
     def prime_divisors(self) -> tuple[int, ...]:
         return self._prime_divisors
@@ -309,29 +309,11 @@ class FiniteAbelianGroup:
 
     def primary_part(self, p: int) -> "PrimaryPart":
         """The p-primary direct summand, with the parent coordinates it uses.
-        Built once per prime and kept on the group; its ``indices`` are the
-        one place that decides which coordinates are divisible by p."""
+        Shared by every equal group and kept on this one; its ``indices`` are
+        the one place that decides which coordinates are divisible by p."""
         pp = self._primary_parts.get(p)
-        if pp is not None:
-            return pp
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        indices = []
-        powers = []
-        for i, d in enumerate(self.invariant_factors):
-            e = 0
-            while d % p == 0:
-                d //= p
-                e += 1
-            if e:
-                indices.append(i)
-                powers.append(p**e)
-        pp = self._primary_parts[p] = PrimaryPart(
-            prime=p,
-            group=FiniteAbelianGroup(tuple(powers)),
-            parent=self,
-            indices=tuple(indices),
-        )
+        if pp is None:
+            pp = self._primary_parts[p] = _primary_part(self, p)
         return pp
 
     @cached_property
@@ -348,6 +330,38 @@ class FiniteAbelianGroup:
             if g.group != self:
                 raise ValueError("subgroup generators must belong to this group")
         return Subgroup(gens, self)
+
+
+# Prime divisors and primary parts depend only on the group's value, so
+# equal groups built separately share them; each group also keeps its own
+# in a plain attribute, which is cheaper to read than a cache lookup.
+
+
+@lru_cache(maxsize=256)
+def _prime_divisors(order: int) -> tuple[int, ...]:
+    return tuple(sorted(prime_factorization(order))) if order > 1 else ()
+
+
+@lru_cache(maxsize=1024)
+def _primary_part(group: FiniteAbelianGroup, p: int) -> "PrimaryPart":
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    indices = []
+    powers = []
+    for i, d in enumerate(group.invariant_factors):
+        e = 0
+        while d % p == 0:
+            d //= p
+            e += 1
+        if e:
+            indices.append(i)
+            powers.append(p**e)
+    return PrimaryPart(
+        prime=p,
+        group=FiniteAbelianGroup(tuple(powers)),
+        parent=group,
+        indices=tuple(indices),
+    )
 
 
 @dataclass(frozen=True)

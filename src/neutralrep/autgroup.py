@@ -6,9 +6,8 @@ is canonical, feeds the mod-p line tests, and decides bijectivity without
 enumerating the group: a legal matrix is an automorphism exactly when, for
 every prime p, its rows on the p-divisible coordinates are independent mod p
 within each block of equal p-exponent (Hillar and Rhea, "Automorphisms of
-finite abelian groups", 2007).  The permutation of the character indices is
-derived on demand for orbits, which are tuples of indices: no ``Character``
-is built until a caller asks.
+finite abelian groups", 2007).  An orbit is the tuple of its members'
+coordinates: no ``Character`` is built until a caller asks.
 
 The subgroup preserving an eigenspace-multiplicity map is found by a
 backtrack over matrix rows in lexicographic order, a set-stabilizer search
@@ -18,7 +17,15 @@ character must begin a support character of the same multiplicity, and a
 row that breaks the mod-p independence is never tried, so every leaf is an
 automorphism that maps the support into itself.  Aut(G) is not listed to
 find it: its order comes from the Hillar-Rhea closed form, and the element
-cap refuses the search before it starts.
+cap refuses the search before it starts.  The subgroup keeps the support
+alone, never a table over all |G| characters.
+
+The subgroup maps the support onto itself, so the orbits the criteria read,
+those of support characters, come from applying its generator matrices to
+support coordinates (``support_orbits``).  Only the blended decomposition
+partitions all |G| characters (``orbit_partition``), through the induced
+permutation of the character indices, which is derived on demand and kept
+with the interned automorphism.
 
 Closures of generator lists are built one left coset r*H at a time
 (Dimino's algorithm), on column form: an element is the tuple of its
@@ -48,8 +55,8 @@ class Automorphism:
     """An automorphism of a finite abelian group, stored as its matrix.
 
     ``perm``, the induced permutation of the characters in lexicographic
-    order, is derived from the matrix on first use; only orbit computations
-    read it.
+    order, is derived from the matrix on first use; only the full orbit
+    partition of a blend reads it.
     """
 
     group: FiniteAbelianGroup
@@ -206,35 +213,31 @@ def aut_generators(group: FiniteAbelianGroup) -> list[Automorphism]:
     each coordinate, the minimal legal transvections between coordinate
     pairs, and swaps of coordinates with equal invariant factors.
 
+    Each is built as its reduced matrix, which is legal and bijective by
+    construction, so none is passed through :meth:`Automorphism.from_matrix`.
     The list is deterministic; it can be empty (trivial group, Z/2).
     """
     d = group.invariant_factors
     k = len(d)
-    gens: list[Automorphism] = []
+    ident = Automorphism.identity(group).matrix
 
-    def base():
-        return [[1 if i == j else 0 for j in range(k)] for i in range(k)]
+    def changed(entries: dict[tuple[int, int], int]) -> Automorphism:
+        rows = [list(row) for row in ident]
+        for (i, j), value in entries.items():
+            rows[i][j] = value
+        return Automorphism(group, tuple(map(tuple, rows)))
 
-    for i in range(k):
-        for u in range(2, d[i]):
-            if math.gcd(u, d[i]) == 1:
-                M = base()
-                M[i][i] = u
-                gens.append(Automorphism.from_matrix(group, M))
-    for i in range(k):
-        for j in range(k):
-            if i != j:
-                M = base()
-                M[i][j] = d[i] // math.gcd(d[i], d[j])
-                gens.append(Automorphism.from_matrix(group, M))
-    for i in range(k):
-        for j in range(i + 1, k):
-            if d[i] == d[j]:
-                M = base()
-                M[i][i] = M[j][j] = 0
-                M[i][j] = M[j][i] = 1
-                gens.append(Automorphism.from_matrix(group, M))
-    return gens
+    pairs = [(i, j) for i in range(k) for j in range(k) if i != j]
+    units = [
+        {(i, i): u} for i in range(k) for u in range(2, d[i]) if math.gcd(u, d[i]) == 1
+    ]
+    transvections = [{(i, j): d[i] // math.gcd(d[i], d[j])} for i, j in pairs]
+    swaps = [
+        {(i, i): 0, (j, j): 0, (i, j): 1, (j, i): 1}
+        for i, j in pairs
+        if i < j and d[i] == d[j]
+    ]
+    return [changed(entries) for entries in units + transvections + swaps]
 
 
 def close_group(
@@ -319,15 +322,16 @@ def _extend_closure(
 class AutVSubgroup:
     """The subgroup of automorphisms preserving a multiplicity map.
 
-    ``multiplicity_by_index`` assigns each character (in lexicographic
-    order) its eigenspace dimension, zero off the support.  ``elements`` is
-    the complete subgroup sorted lexicographically by matrix;
-    ``generator_subset`` is a greedily chosen generating subset (every
-    member was outside the closure of its predecessors).
+    ``support`` lists the (coordinates, multiplicity) pairs of the
+    characters of nonzero multiplicity, in coordinate order; every other
+    character has multiplicity zero, so nothing sized |G| is kept.
+    ``elements`` is the complete subgroup sorted lexicographically by
+    matrix; ``generator_subset`` is a greedily chosen generating subset
+    (every member was outside the closure of its predecessors).
     """
 
     group: FiniteAbelianGroup
-    multiplicity_by_index: tuple[int, ...]
+    support: tuple[tuple[tuple[int, ...], int], ...]
     elements: tuple[Automorphism, ...]
     generator_subset: tuple[Automorphism, ...]
 
@@ -344,9 +348,10 @@ def aut_v_subgroup(
     """All automorphisms under which the multiplicity map is invariant.
 
     Raises :class:`CapExceededError` when |Aut(G)| exceeds ``cap``, before
-    any search.  Otherwise the elements are the leaves of a backtrack over
-    matrix rows (``_preserving_matrices``), in lexicographic order of their
-    matrices: bijections that map each support character to one of the same
+    any search and before anything sized |G| exists.  Otherwise the
+    elements are the leaves of a backtrack over matrix rows
+    (``_preserving_matrices``), in lexicographic order of their matrices:
+    bijections that map each support character to one of the same
     multiplicity.  Such a bijection permutes each multiplicity class of the
     support, and the map vanishes off the support, so it preserves the map.
 
@@ -354,7 +359,6 @@ def aut_v_subgroup(
     side is an anti-isomorphism, and since the computed subgroup is closed
     under inverses the two actions give identical orbit partitions.
     """
-    mult = [0] * group.order
     support: dict[tuple[int, ...], int] = {}
     for chi, m in multiplicity.items():
         if chi.group != group:
@@ -362,12 +366,12 @@ def aut_v_subgroup(
         if m < 0:
             raise ValueError("multiplicities cannot be negative")
         if m:
-            mult[group.index_of(chi.coords)] = support[chi.coords] = int(m)
+            support[chi.coords] = int(m)
     check_aut_order(group, cap)
     elements = [_automorphism(group, rows) for rows in _preserving_matrices(group, support)]
     return AutVSubgroup(
         group=group,
-        multiplicity_by_index=tuple(mult),
+        support=tuple(sorted(support.items())),
         elements=tuple(elements),
         generator_subset=tuple(_greedy_generators(group, elements)),
     )
@@ -445,50 +449,85 @@ def _greedy_generators(
 
 @dataclass(frozen=True)
 class Orbit:
-    """One orbit of characters, held as its members' sorted lexicographic
-    indices, with their common eigenspace multiplicity.  ``characters`` and
-    ``sum_coords``, the coordinates of the orbit sum, are built on first use."""
+    """One orbit of characters, held as its members' coordinate tuples in
+    lexicographic order, with their common eigenspace multiplicity.
+    ``characters`` and ``sum_coords``, the coordinates of the orbit sum, are
+    built from the members on first use."""
 
     group: FiniteAbelianGroup
-    indices: tuple[int, ...]
+    members: tuple[tuple[int, ...], ...]
     multiplicity: int
 
     @property
     def size(self) -> int:
-        return len(self.indices)
+        return len(self.members)
 
     @cached_property
     def characters(self) -> tuple[Character, ...]:
-        group, coords = self.group, self.group.coordinate_tuples
-        return tuple(Character(coords[i], group) for i in self.indices)
+        return tuple(Character(c, self.group) for c in self.members)
 
     @cached_property
     def sum_coords(self) -> tuple[int, ...]:
-        columns = zip(*(self.group.coordinate_tuples[i] for i in self.indices))
+        columns = zip(*self.members)
         return tuple(sum(c) % d for c, d in zip(columns, self.group.invariant_factors))
+
+
+def support_orbits(subgroup: AutVSubgroup) -> dict[tuple[int, ...], Orbit]:
+    """The orbit of each support character, keyed by its coordinates.
+
+    The subgroup maps the support onto itself, so each orbit is found by
+    applying the generator matrices to support coordinates alone: one
+    matrix-vector product per support character and generator, with no
+    character outside the support visited."""
+    mult = dict(subgroup.support)
+    gens = subgroup.generator_subset
+    out: dict[tuple[int, ...], Orbit] = {}
+    for start, m in subgroup.support:
+        if start in out:
+            continue
+        members, stack = {start}, [start]
+        while stack:
+            x = stack.pop()
+            for a in gens:
+                y = a.apply_coords(x)
+                if y not in members:
+                    if mult.get(y) != m:
+                        raise ValueError(
+                            "multiplicity map is not constant on an orbit; the "
+                            "subgroup does not preserve it"
+                        )
+                    members.add(y)
+                    stack.append(y)
+        orbit = Orbit(subgroup.group, tuple(sorted(members)), m)
+        out.update(dict.fromkeys(orbit.members, orbit))
+    return out
 
 
 @dataclass(frozen=True)
 class OrbitPartition:
     """The partition of all characters into orbits, ordered by their least
-    members; ``orbit_of`` looks a character up by its index."""
+    members; ``orbit_of`` looks a character up by its coordinates."""
 
     group: FiniteAbelianGroup
     orbits: tuple[Orbit, ...]
 
     def orbit_of(self, chi: Character) -> Orbit:
-        return self.orbits[self._orbit_number[self.group.index_of(chi.coords)]]
+        return self._orbit_by_member[chi.coords]
 
     @cached_property
-    def _orbit_number(self) -> dict[int, int]:
-        return {i: n for n, orbit in enumerate(self.orbits) for i in orbit.indices}
+    def _orbit_by_member(self) -> dict[tuple[int, ...], Orbit]:
+        return {c: orbit for orbit in self.orbits for c in orbit.members}
 
 
 def orbit_partition(subgroup: AutVSubgroup) -> OrbitPartition:
-    """Orbits of the character set under the subgroup, each orbit sorted and
-    the orbit list ordered by least representative."""
+    """Orbits of the whole character set under the subgroup, each orbit
+    sorted and the orbit list ordered by least member.  Walks all |G|
+    characters through each generator's permutation; only the blended
+    decomposition needs the orbits off the support."""
     group = subgroup.group
     n = group.order
+    coords = group.coordinate_tuples
+    mult = {group.index_of(c): m for c, m in subgroup.support}
     perms = [a.perm for a in subgroup.generator_subset] or [tuple(range(n))]
     seen = [False] * n
     orbits = []
@@ -507,13 +546,13 @@ def orbit_partition(subgroup: AutVSubgroup) -> OrbitPartition:
                     members.append(y)
                     stack.append(y)
         members.sort()
-        mults = {subgroup.multiplicity_by_index[i] for i in members}
+        mults = {mult.get(i, 0) for i in members}
         if len(mults) != 1:
             raise ValueError(
                 "multiplicity map is not constant on an orbit; the subgroup "
                 "does not preserve it"
             )
-        orbits.append(Orbit(group, tuple(members), mults.pop()))
+        orbits.append(Orbit(group, tuple([coords[i] for i in members]), mults.pop()))
     return OrbitPartition(group=group, orbits=tuple(orbits))
 
 

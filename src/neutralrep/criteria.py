@@ -246,14 +246,14 @@ def _cyclic_general(V: Representation, p: int, cap: int) -> tuple[tuple | None, 
             f"{p}-primary part has rank {group.p_rank(p)}; use the "
             f"lines-and-generators criterion instead"
         )
-    _, partition = symmetry_of(V, cap)
+    _, orbits = symmetry_of(V, cap)
     pp = group.primary_part(p)  # cyclic: one coordinate i, of order q = p^e
     (i,), (q,) = pp.indices, pp.group.invariant_factors
     found = None
     for chi, m in V.entries:
         if m % p == 0:
             continue
-        orbit = partition.orbit_of(chi)
+        orbit = orbits[chi.coords]
         restriction = chi.coords[i] % q
         orbit_sum_restriction = orbit.sum_coords[i] % q
         if orbit.size % p != 0 and restriction % p:
@@ -283,7 +283,7 @@ def check_lines_generators(
     """
     group = V.group
     _require_prime_divisor(group, p)
-    symmetries, partition = symmetry_of(V, cap)
+    symmetries, orbits = symmetry_of(V, cap)
     if not acts_trivially_on_lines(symmetries, p):
         return PrimeVerdict(
             p,
@@ -298,7 +298,7 @@ def check_lines_generators(
     for chi, m in V.entries:
         if m % p == 0:
             continue
-        orbit = partition.orbit_of(chi)
+        orbit = orbits[chi.coords]
         if any(orbit.sum_coords[i] % p for i in group.primary_part(p).indices):
             tag = "a"
         elif orbit.size % p != 0:

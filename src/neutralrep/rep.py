@@ -23,7 +23,14 @@ from .abelian import (
     Subgroup,
     generates,
 )
-from .autgroup import AutVSubgroup, Orbit, OrbitPartition, aut_v_subgroup, orbit_partition
+from .autgroup import (
+    AutVSubgroup,
+    Orbit,
+    OrbitPartition,
+    aut_v_subgroup,
+    orbit_partition,
+    support_orbits,
+)
 from .errors import (
     DuplicateCharacterError,
     InputError,
@@ -104,15 +111,17 @@ def fixed_dim(V: Representation, vanishing_set: Subgroup) -> int:
 @lru_cache(maxsize=1)
 def symmetry_of(
     V: Representation, cap: int = DEFAULT_CAP
-) -> tuple[AutVSubgroup, OrbitPartition]:
-    """The multiplicity-preserving automorphisms of V and their orbits.
+) -> tuple[AutVSubgroup, dict[tuple[int, ...], Orbit]]:
+    """The multiplicity-preserving automorphisms of V and the orbits of its
+    support characters, keyed by coordinates.
 
-    Neither depends on a prime, so the strategies and diagnostics of one
-    report, and a blend of the same representation after it, share a single
-    build; only the latest (representation, cap) is kept.
+    The criteria read only those orbits, so nothing sized |G| is built
+    here.  Neither part depends on a prime, so the strategies and
+    diagnostics of one report, and a blend of the same representation after
+    it, share a single build; only the latest (representation, cap) is kept.
     """
     symmetries = aut_v_subgroup(V.group, V.multiplicities(), cap)
-    return symmetries, orbit_partition(symmetries)
+    return symmetries, support_orbits(symmetries)
 
 
 def is_faithful(V: Representation) -> bool:
@@ -241,12 +250,22 @@ def blended_decomposition(
 ) -> BlendedDecomposition:
     """Compute the orbit partition of the character set under the
     multiplicity-preserving automorphisms, with per-orbit determinant
-    characters."""
-    symmetries, partition = symmetry_of(V, cap)
+    characters.
+
+    The subgroup comes from :func:`symmetry_of`, so a report on V before
+    the blend leaves nothing to search; the partition of all |G| characters
+    is built here, once per call, and nowhere else.  Only the support
+    orbits are summed: an orbit of multiplicity 0 has the zero determinant.
+    """
+    symmetries, _ = symmetry_of(V, cap)
+    partition = orbit_partition(symmetries)
+    group = V.group
     components = tuple(
         OrbitComponent(
             orbit=orb,
-            det_character=V.group.character([orb.multiplicity * a for a in orb.sum_coords]),
+            det_character=group.character([orb.multiplicity * a for a in orb.sum_coords])
+            if orb.multiplicity
+            else group.zero(),
         )
         for orb in partition.orbits
     )

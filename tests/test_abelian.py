@@ -292,6 +292,18 @@ def test_primary_part_structure():
     assert pp3.group.invariant_factors == (3,) and pp3.indices == (1,)
 
 
+def test_primary_parts_are_shared_by_group_value():
+    a, b = FiniteAbelianGroup((2, 12)), FiniteAbelianGroup((2, 12))
+    assert a is not b
+    assert a.primary_part(2) is b.primary_part(2)
+    assert a.primary_part(3) is b.primary_part(3)
+    assert a.prime_divisors() is b.prime_divisors()
+    with pytest.raises(ValueError):
+        a.primary_part(4)
+    with pytest.raises(ValueError):
+        FiniteAbelianGroup((2, 12)).primary_part(1)
+
+
 def test_rank_mod_p():
     assert rank_mod_p([(1, 0), (0, 1)], 2) == 2
     assert rank_mod_p([(1, 1), (2, 2)], 3) == 1

@@ -24,6 +24,7 @@ from neutralrep.autgroup import (
     induced_mod_p_matrix,
     is_scalar_matrix_mod_p,
     orbit_partition,
+    support_orbits,
 )
 from neutralrep.criteria import STRATEGY_LINES_AND_GENERATORS, neutrality_report
 from neutralrep.errors import CapExceededError
@@ -196,6 +197,19 @@ def test_from_matrix_accepts_exactly_the_bijections():
     assert (checked, accepted) == (2089, 555)
 
 
+def test_generators_are_legal_by_construction():
+    # aut_generators builds its matrices directly; from_matrix, which
+    # validates, must accept each one and give back the same automorphism
+    cases = [
+        (2,), (4,), (6,), (12,), (2, 2), (2, 4), (2, 6), (3, 3),
+        (2, 2, 2), (2, 2, 4), (4, 4), (2, 12),
+    ]
+    for factors in cases:
+        group = FiniteAbelianGroup(factors)
+        for a in aut_generators(group):
+            assert Automorphism.from_matrix(group, a.matrix) == a, (factors, a.matrix)
+
+
 def test_composition_matches_permutation():
     g = FiniteAbelianGroup((2, 4))
     closed = full_closure(g)
@@ -263,6 +277,37 @@ def test_backtrack_property_matches_filtered_closure(data):
     }
     sym = aut_v_subgroup(group, mult_map)
     assert [a.matrix for a in sym.elements] == filtered_closure(group, mult_map)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.data())
+def test_support_orbits_match_the_full_partition(data):
+    # the checker's orbits come from the generator matrices applied to the
+    # support alone; each must be the orbit the full partition gives.  Half
+    # the supports are unions of Aut(G)-orbits, so AutV is large and needs
+    # several generators to reach every member of an orbit.
+    factors = data.draw(st.sampled_from(SMALL_GROUPS))
+    group = FiniteAbelianGroup(factors)
+    indices = data.draw(
+        st.lists(st.integers(0, group.order - 1), max_size=min(6, group.order), unique=True)
+    )
+    mults = data.draw(st.lists(st.integers(1, 3), min_size=len(indices), max_size=len(indices)))
+    drawn = [(group.coordinate_tuples[i], m) for i, m in zip(indices, mults)]
+    if data.draw(st.booleans()):
+        drawn = [
+            (a.apply_coords(c), m) for c, m in drawn for a in sorted_full_closure(factors)
+        ]
+    mult_map = {group.character(c): m for c, m in drawn}
+    sym = aut_v_subgroup(group, mult_map)
+    orbits = support_orbits(sym)
+    partition = orbit_partition(sym)
+    assert set(orbits) == {chi.coords for chi in mult_map}
+    for chi in mult_map:
+        ours, full = orbits[chi.coords], partition.orbit_of(chi)
+        assert ours.members == full.members
+        assert ours.size == full.size
+        assert ours.multiplicity == full.multiplicity == mult_map[chi]
+        assert ours.sum_coords == full.sum_coords
 
 
 def test_aut_v_subgroup_never_enumerates_aut_g(monkeypatch):
@@ -400,7 +445,7 @@ def test_orbits_match_bruteforce_endomorphism_oracle():
                 # the orbits hold indices; what is derived from them agrees
                 # with the brute-force members and with character_sum
                 expected = sorted(sorted(o) for o in brute_orbits)
-                assert [list(o.indices) for o in part.orbits] == expected
+                assert [[group.index_of(c) for c in o.members] for o in part.orbits] == expected
                 for orbit, members in zip(part.orbits, expected):
                     chars = [group.character(tuples[i]) for i in members]
                     assert list(orbit.characters) == chars

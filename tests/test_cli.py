@@ -171,6 +171,25 @@ def test_cap_is_decided_before_the_work(tmp_path, capsys):
     assert "|Aut(G)| = 1488000 exceeds the element cap (1000000)" in capsys.readouterr().err
 
 
+def test_blend_on_a_huge_cyclic_group_is_refused_by_the_cap(tmp_path, capsys):
+    # |Aut(Z/10^12)| = 4 * 10^11 is compared with the cap before anything
+    # sized |G| is allocated
+    doc = {
+        "group": {"invariant_factors": [10**12]},
+        "representation": [{"character": [1], "multiplicity": 1}],
+    }
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    assert main(["blend", str(path)]) == 3
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: |Aut(G)| = 400000000000 exceeds the element cap (1000000)\n"
+    )
+
+
 def test_blend_trivial_group(tmp_path, capsys):
     path = tmp_path / "triv.json"
     path.write_text(

@@ -184,23 +184,39 @@ def test_verify_refuses_before_it_enumerates(monkeypatch):
 
 def test_symmetry_built_once_per_report_and_blend(monkeypatch):
     calls = []
+    partitions = []
     original = rep_module.aut_v_subgroup
+    original_partition = rep_module.orbit_partition
 
     def counting(*args):
         calls.append(args)
         return original(*args)
 
+    def counting_partition(*args):
+        partitions.append(args)
+        return original_partition(*args)
+
     monkeypatch.setattr(rep_module, "aut_v_subgroup", counting)
+    monkeypatch.setattr(rep_module, "orbit_partition", counting_partition)
     rep_module.symmetry_of.cache_clear()
     # p = 2 runs LinesAndGenerators, p = 3 CyclicGeneral and both notes
     V = rep((2, 6), {(1, 0): 1, (0, 1): 2, (1, 3): 1})
     report = neutrality_report(V)
     assert [v.prime for v in report.verdicts] == [2, 3]
     assert len(calls) == 1
+    assert partitions == []  # the report reads only the support orbits
     rep_module.blended_decomposition(V)
     assert len(calls) == 1
+    assert len(partitions) == 1
     neutrality_report(V, cap=10**5)  # another cap is another entry
     assert len(calls) == 2
+    assert len(partitions) == 1
+    # the criteria need the orbits of the support only, so a report on a
+    # fresh group of 360 characters lists none of them
+    group = FiniteAbelianGroup((6, 60))
+    neutrality_report(Representation.from_multiplicities(group, {(1, 0): 1, (0, 1): 1}))
+    assert "coordinate_tuples" not in group.__dict__
+    assert len(partitions) == 1
 
 
 def test_cyclic_general_runs_once_per_prime_in_a_report(monkeypatch):
