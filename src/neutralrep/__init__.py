@@ -20,7 +20,6 @@ from .autgroup import (
     Automorphism,
     AutVSubgroup,
     Orbit,
-    OrbitPartition,
     acts_trivially_on_lines,
     aut_generators,
     aut_v_subgroup,

@@ -287,24 +287,6 @@ class FiniteAbelianGroup:
         for coords in itertools.product(*(range(d) for d in self.invariant_factors)):
             yield Character(coords, self)
 
-    @cached_property
-    def coordinate_tuples(self) -> tuple[tuple[int, ...], ...]:
-        """All coordinate tuples, lexicographic.  Materializes |G| tuples."""
-        return tuple(itertools.product(*(range(d) for d in self.invariant_factors)))
-
-    @cached_property
-    def _index_weights(self) -> tuple[int, ...]:
-        weights = []
-        w = 1
-        for d in reversed(self.invariant_factors):
-            weights.append(w)
-            w *= d
-        return tuple(reversed(weights))
-
-    def index_of(self, coords: Sequence[int]) -> int:
-        """Position of a reduced coordinate tuple in lexicographic order."""
-        return sum(a * w for a, w in zip(coords, self._index_weights))
-
     # -- structure -----------------------------------------------------------
 
     def primary_part(self, p: int) -> "PrimaryPart":

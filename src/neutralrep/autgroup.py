@@ -20,12 +20,11 @@ find it: its order comes from the Hillar-Rhea closed form, and the element
 cap refuses the search before it starts.  The subgroup keeps the support
 alone, never a table over all |G| characters.
 
-The subgroup maps the support onto itself, so the orbits the criteria read,
-those of support characters, come from applying its generator matrices to
-support coordinates (``support_orbits``).  Only the blended decomposition
-partitions all |G| characters (``orbit_partition``), through the induced
-permutation of the character indices, which is derived on demand and kept
-with the interned automorphism.
+Orbits come from one walk that applies the subgroup's generator matrices to
+coordinate tuples.  The subgroup maps the support onto itself, so the orbits
+the criteria read, those of support characters, are walked from the support
+alone (``support_orbits``); only the blended decomposition walks all |G|
+characters (``orbit_partition``).
 
 Closures of generator lists are built one left coset r*H at a time
 (Dimino's algorithm), on column form: an element is the tuple of its
@@ -44,7 +43,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import mul
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .abelian import DEFAULT_CAP, Character, FiniteAbelianGroup
 from .errors import CapExceededError
@@ -52,12 +51,8 @@ from .errors import CapExceededError
 
 @dataclass(frozen=True)
 class Automorphism:
-    """An automorphism of a finite abelian group, stored as its matrix.
-
-    ``perm``, the induced permutation of the characters in lexicographic
-    order, is derived from the matrix on first use; only the full orbit
-    partition of a blend reads it.
-    """
+    """An automorphism of a finite abelian group, stored as its reduced
+    matrix; it acts on characters by the matrix-vector product."""
 
     group: FiniteAbelianGroup
     matrix: tuple[tuple[int, ...], ...]
@@ -118,11 +113,6 @@ class Automorphism:
     @property
     def is_identity(self) -> bool:
         return self == Automorphism.identity(self.group)
-
-    @cached_property
-    def perm(self) -> tuple[int, ...]:
-        apply, index_of = self.apply_coords, self.group.index_of
-        return tuple(index_of(apply(c)) for c in self.group.coordinate_tuples)
 
 
 @lru_cache(maxsize=64)
@@ -368,18 +358,13 @@ def aut_v_subgroup(
         if m:
             support[chi.coords] = int(m)
     check_aut_order(group, cap)
-    elements = [_automorphism(group, rows) for rows in _preserving_matrices(group, support)]
+    elements = [Automorphism(group, rows) for rows in _preserving_matrices(group, support)]
     return AutVSubgroup(
         group=group,
         support=tuple(sorted(support.items())),
         elements=tuple(elements),
         generator_subset=tuple(_greedy_generators(group, elements)),
     )
-
-
-# One instance per (group, matrix), so a derived ``perm`` is kept across
-# the representations whose subgroups share the automorphism.
-_automorphism = lru_cache(maxsize=1 << 14)(Automorphism)
 
 
 @lru_cache(maxsize=256)
@@ -450,9 +435,10 @@ def _greedy_generators(
 @dataclass(frozen=True)
 class Orbit:
     """One orbit of characters, held as its members' coordinate tuples in
-    lexicographic order, with their common eigenspace multiplicity.
-    ``characters`` and ``sum_coords``, the coordinates of the orbit sum, are
-    built from the members on first use."""
+    lexicographic order, with their common eigenspace multiplicity d.
+    ``characters``, ``sum_coords`` (the coordinates of the orbit sum) and
+    ``det_character`` (d times the orbit sum, the determinant of the
+    orbit's eigenspaces) are built from the members on first use."""
 
     group: FiniteAbelianGroup
     members: tuple[tuple[int, ...], ...]
@@ -471,89 +457,58 @@ class Orbit:
         columns = zip(*self.members)
         return tuple(sum(c) % d for c, d in zip(columns, self.group.invariant_factors))
 
+    @cached_property
+    def det_character(self) -> Character:
+        """Zero without a sum when d = 0."""
+        if not self.multiplicity:
+            return self.group.zero()
+        return self.group.character([self.multiplicity * a for a in self.sum_coords])
 
-def support_orbits(subgroup: AutVSubgroup) -> dict[tuple[int, ...], Orbit]:
-    """The orbit of each support character, keyed by its coordinates.
 
-    The subgroup maps the support onto itself, so each orbit is found by
-    applying the generator matrices to support coordinates alone: one
-    matrix-vector product per support character and generator, with no
-    character outside the support visited."""
-    mult = dict(subgroup.support)
-    gens = subgroup.generator_subset
-    out: dict[tuple[int, ...], Orbit] = {}
-    for start, m in subgroup.support:
-        if start in out:
+def _orbits(subgroup: AutVSubgroup, starts: Iterable[tuple[int, ...]]) -> list[Orbit]:
+    """The orbit of each start point under the subgroup, found by applying
+    its generator matrices to coordinates, each orbit once and in the order
+    of the first start that reaches it.  Raises ``ValueError`` when the
+    multiplicity is not constant on an orbit."""
+    group, mult, gens = subgroup.group, dict(subgroup.support), subgroup.generator_subset
+    seen: set[tuple[int, ...]] = set()
+    out = []
+    for start in starts:
+        if start in seen:
             continue
-        members, stack = {start}, [start]
-        while stack:
-            x = stack.pop()
+        seen.add(start)
+        m = mult.get(start, 0)
+        members = [start]
+        for x in members:  # breadth first: the loop reaches what it appends
             for a in gens:
                 y = a.apply_coords(x)
-                if y not in members:
-                    if mult.get(y) != m:
+                if y not in seen:
+                    if mult.get(y, 0) != m:
                         raise ValueError(
                             "multiplicity map is not constant on an orbit; the "
                             "subgroup does not preserve it"
                         )
-                    members.add(y)
-                    stack.append(y)
-        orbit = Orbit(subgroup.group, tuple(sorted(members)), m)
-        out.update(dict.fromkeys(orbit.members, orbit))
+                    seen.add(y)
+                    members.append(y)
+        members.sort()
+        out.append(Orbit(group, tuple(members), m))
     return out
 
 
-@dataclass(frozen=True)
-class OrbitPartition:
-    """The partition of all characters into orbits, ordered by their least
-    members; ``orbit_of`` looks a character up by its coordinates."""
-
-    group: FiniteAbelianGroup
-    orbits: tuple[Orbit, ...]
-
-    def orbit_of(self, chi: Character) -> Orbit:
-        return self._orbit_by_member[chi.coords]
-
-    @cached_property
-    def _orbit_by_member(self) -> dict[tuple[int, ...], Orbit]:
-        return {c: orbit for orbit in self.orbits for c in orbit.members}
+def support_orbits(subgroup: AutVSubgroup) -> dict[tuple[int, ...], Orbit]:
+    """The orbit of each support character, keyed by its coordinates.  The
+    subgroup maps the support onto itself, so no character outside it is
+    visited."""
+    starts = [c for c, _ in subgroup.support]
+    return {c: orbit for orbit in _orbits(subgroup, starts) for c in orbit.members}
 
 
-def orbit_partition(subgroup: AutVSubgroup) -> OrbitPartition:
-    """Orbits of the whole character set under the subgroup, each orbit
-    sorted and the orbit list ordered by least member.  Walks all |G|
-    characters through each generator's permutation; only the blended
-    decomposition needs the orbits off the support."""
-    group = subgroup.group
-    n = group.order
-    coords = group.coordinate_tuples
-    mult = {group.index_of(c): m for c, m in subgroup.support}
-    perms = [a.perm for a in subgroup.generator_subset] or [tuple(range(n))]
-    seen = [False] * n
-    orbits = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        members = [start]
-        while stack:
-            x = stack.pop()
-            for perm in perms:
-                y = perm[x]
-                if not seen[y]:
-                    seen[y] = True
-                    members.append(y)
-                    stack.append(y)
-        members.sort()
-        mults = {mult.get(i, 0) for i in members}
-        if len(mults) != 1:
-            raise ValueError(
-                "multiplicity map is not constant on an orbit; the subgroup "
-                "does not preserve it"
-            )
-        orbits.append(Orbit(group, tuple([coords[i] for i in members]), mults.pop()))
-    return OrbitPartition(group=group, orbits=tuple(orbits))
+def orbit_partition(subgroup: AutVSubgroup) -> tuple[Orbit, ...]:
+    """Orbits of the whole character set under the subgroup, ordered by
+    least member.  Walks all |G| characters; only the blended decomposition
+    needs the orbits off the support."""
+    starts = itertools.product(*map(range, subgroup.group.invariant_factors))
+    return tuple(_orbits(subgroup, starts))
 
 
 def induced_mod_p_matrix(a: Automorphism, p: int) -> list[list[int]]:

@@ -65,6 +65,7 @@ from .rep import (
     Representation,
     fixed_dim,
     is_faithful,
+    is_int_list,
     pseudoreflections,
     rep_from_input,
     symmetry_of,
@@ -828,9 +829,7 @@ def report_from_dict(doc) -> NeutralityReport:
             f"stored overall {doc['overall']!r} contradicts the per-prime verdicts"
         )
     refs = doc["pseudoreflections"]
-    if not isinstance(refs, list) or not all(
-        isinstance(r, list) and all(isinstance(x, int) for x in r) for r in refs
-    ):
+    if not isinstance(refs, list) or not all(map(is_int_list, refs)):
         raise InputError('"pseudoreflections" must be a list of coordinate lists')
     return NeutralityReport(
         representation=rep,

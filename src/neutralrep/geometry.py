@@ -75,7 +75,8 @@ def _checked_prime_map(data: Mapping[int, int], n: int, what: str) -> dict[int, 
     """
     divisors = sorted(prime_factorization(n)) if n > 1 else []
     for key in data:
-        if not isinstance(key, int) or not is_prime(key) or n % key != 0:
+        # divisibility before primality: trial division costs sqrt(key)
+        if not isinstance(key, int) or key < 2 or n % key or not is_prime(key):
             raise ExtraneousPrimeError(key, n)
     missing = [p for p in divisors if p not in data]
     if missing:

@@ -26,7 +26,6 @@ from .abelian import (
 from .autgroup import (
     AutVSubgroup,
     Orbit,
-    OrbitPartition,
     aut_v_subgroup,
     orbit_partition,
     support_orbits,
@@ -202,30 +201,11 @@ def pseudoreflections(V: Representation) -> list[GroupElement]:
 
 
 @dataclass(frozen=True)
-class OrbitComponent:
-    """One blended eigenspace: an orbit of characters, its common
-    multiplicity d, and the determinant character d * (sum of the orbit)."""
-
-    orbit: Orbit
-    det_character: Character
-
-    @property
-    def characters(self) -> tuple[Character, ...]:
-        return self.orbit.characters
-
-    @property
-    def size(self) -> int:
-        return self.orbit.size
-
-    @property
-    def multiplicity(self) -> int:
-        return self.orbit.multiplicity
-
-
-@dataclass(frozen=True)
 class BlendedDecomposition:
     """The finest decomposition of V guaranteed to descend to every form:
-    one component per orbit of the multiplicity-preserving automorphisms.
+    one component per orbit of the multiplicity-preserving automorphisms,
+    with its common multiplicity d and its determinant character d * (sum
+    of the orbit).
 
     Orbits of characters outside the support are kept, with multiplicity 0;
     the neutrality criteria quantify over all characters, not just the
@@ -234,8 +214,7 @@ class BlendedDecomposition:
 
     representation: Representation
     symmetries: AutVSubgroup
-    partition: OrbitPartition
-    components: tuple[OrbitComponent, ...]
+    components: tuple[Orbit, ...]
 
     def __post_init__(self):
         total = sum(c.size * c.multiplicity for c in self.components)
@@ -254,27 +233,14 @@ def blended_decomposition(
 
     The subgroup comes from :func:`symmetry_of`, so a report on V before
     the blend leaves nothing to search; the partition of all |G| characters
-    is built here, once per call, and nowhere else.  Only the support
-    orbits are summed: an orbit of multiplicity 0 has the zero determinant.
+    is built here, once per call, and nowhere else.  The determinant
+    characters are built here too; only the support orbits are summed.
     """
     symmetries, _ = symmetry_of(V, cap)
-    partition = orbit_partition(symmetries)
-    group = V.group
-    components = tuple(
-        OrbitComponent(
-            orbit=orb,
-            det_character=group.character([orb.multiplicity * a for a in orb.sum_coords])
-            if orb.multiplicity
-            else group.zero(),
-        )
-        for orb in partition.orbits
-    )
-    return BlendedDecomposition(
-        representation=V,
-        symmetries=symmetries,
-        partition=partition,
-        components=components,
-    )
+    components = orbit_partition(symmetries)
+    for orbit in components:
+        orbit.det_character  # built now rather than on the caller's first read
+    return BlendedDecomposition(V, symmetries, components)
 
 
 def rep_from_input(doc) -> Representation:
@@ -311,9 +277,7 @@ def rep_from_input(doc) -> Representation:
                 f'the keys "character" and "multiplicity"'
             )
         coords = item["character"]
-        if not isinstance(coords, list) or not all(
-            isinstance(a, int) and not isinstance(a, bool) for a in coords
-        ):
+        if not is_int_list(coords):
             raise InputError(f"representation entry {pos}: character must be a list of integers")
         m = item["multiplicity"]
         if not isinstance(m, int) or isinstance(m, bool) or m < 1:
@@ -322,6 +286,13 @@ def rep_from_input(doc) -> Representation:
             )
         entries.append((group.character(coords), m))
     return Representation(group, tuple(entries))
+
+
+def is_int_list(values) -> bool:
+    """True for a list of integers; JSON's true and false are not integers."""
+    return isinstance(values, list) and all(
+        isinstance(x, int) and not isinstance(x, bool) for x in values
+    )
 
 
 def group_from_input(fragment) -> FiniteAbelianGroup:
@@ -333,16 +304,12 @@ def group_from_input(fragment) -> FiniteAbelianGroup:
         )
     if "invariant_factors" in fragment:
         factors = fragment["invariant_factors"]
-        if not isinstance(factors, list) or not all(isinstance(d, int) for d in factors):
+        if not is_int_list(factors):
             raise InputError('"invariant_factors" must be a list of integers')
         return FiniteAbelianGroup(tuple(factors))
     if "relations" in fragment:
         rel = fragment["relations"]
-        if (
-            not isinstance(rel, list)
-            or not all(isinstance(r, list) for r in rel)
-            or not all(isinstance(x, int) for r in rel for x in r)
-        ):
+        if not isinstance(rel, list) or not all(map(is_int_list, rel)):
             raise InputError('"relations" must be a list of integer lists')
         return FiniteAbelianGroup.from_relations(rel)
     raise InputError(f"unknown group presentation keys: {sorted(fragment)}")

@@ -55,6 +55,13 @@ def all_coord_tuples(factors):
     return list(itertools.product(*(range(d) for d in factors)))
 
 
+@functools.lru_cache(maxsize=None)
+def coord_index(factors):
+    """The lexicographic position of each coordinate tuple, keyed in that
+    order.  Memoised per ``factors`` (a tuple)."""
+    return {c: i for i, c in enumerate(all_coord_tuples(factors))}
+
+
 def addition_table(factors):
     """Dense addition table over lexicographic element indices."""
     coords = all_coord_tuples(factors)
@@ -102,6 +109,13 @@ def apply_matrix(matrix, coords, factors):
         sum(matrix[i][j] * coords[j] for j in range(k)) % factors[i]
         for i in range(k)
     )
+
+
+def perm_of(matrix, factors):
+    """The permutation of lexicographic element indices that a matrix
+    induces on the coordinate tuples."""
+    index = coord_index(tuple(factors))
+    return tuple(index[apply_matrix(matrix, c, factors)] for c in index)
 
 
 @functools.lru_cache(maxsize=None)

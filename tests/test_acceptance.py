@@ -71,6 +71,7 @@ def test_criterion_2_orbit_oracle():
     for factors in oracles.all_groups(16, max_rank=2):
         group = FiniteAbelianGroup(factors)
         tuples = oracles.all_coord_tuples(factors)
+        index = oracles.coord_index(factors)
         n = len(tuples)
         brute = oracles.automorphism_perms(factors)
         chars = [group.character(c) for c in tuples]
@@ -81,8 +82,7 @@ def test_criterion_2_orbit_oracle():
                     mult_map = {chars[i]: m for i, m in zip(support, mults)}
                     part = orbit_partition(aut_v_subgroup(group, mult_map))
                     ours = frozenset(
-                        frozenset(group.index_of(c.coords) for c in o.characters)
-                        for o in part.orbits
+                        frozenset(index[c.coords] for c in o.characters) for o in part
                     )
                     by_index = [0] * n
                     for i, m in zip(support, mults):

@@ -66,7 +66,7 @@ def test_generators_reach_full_automorphism_group():
     for factors in cases:
         group = FiniteAbelianGroup(factors)
         closed = full_closure(group)
-        ours = {a.perm for a in closed}
+        ours = {oracles.perm_of(a.matrix, factors) for a in closed}
         assert ours == oracles.automorphism_perms(factors), factors
         assert aut_order(group) == len(closed), factors
 
@@ -78,7 +78,7 @@ def test_generators_reach_full_automorphism_group_higher_rank():
     for factors, expected in cases:
         group = FiniteAbelianGroup(factors)
         closed = full_closure(group)
-        ours = {a.perm for a in closed}
+        ours = {oracles.perm_of(a.matrix, factors) for a in closed}
         assert len(ours) == expected
         assert ours == oracles.automorphism_perms(factors), factors
         assert aut_order(group) == len(closed) == expected, factors
@@ -104,8 +104,12 @@ def test_close_group_basics():
             rng.shuffle(gens)
             closed = close_group(gens)
             assert len({a.matrix for a in closed}) == len(closed)
-            expected = oracles.perm_closure([a.perm for a in gens], group.order)
-            assert {a.perm for a in closed} == expected, (factors, gens)
+            perms = [oracles.perm_of(a.matrix, factors) for a in gens]
+            expected = oracles.perm_closure(perms, group.order)
+            assert {oracles.perm_of(a.matrix, factors) for a in closed} == expected, (
+                factors,
+                gens,
+            )
 
 
 def test_closure_takes_about_one_product_per_element(monkeypatch):
@@ -151,13 +155,14 @@ def test_greedy_generators_pick_exactly_the_new_elements():
     for factors in [(12,), (2, 4), (3, 3), (2, 2, 2), (2, 2, 4)]:
         group = FiniteAbelianGroup(factors)
         full = sorted(full_closure(group), key=lambda a: a.matrix)
+        perm = {a: oracles.perm_of(a.matrix, factors) for a in full}
         shuffled = rng.sample(full, k=len(full))
         for elements in (full, shuffled):
             expected, covered = [], oracles.perm_closure([], group.order)
             for a in elements:
-                if a.perm not in covered:
+                if perm[a] not in covered:
                     expected.append(a)
-                    covered = oracles.perm_closure([b.perm for b in expected], group.order)
+                    covered = oracles.perm_closure([perm[b] for b in expected], group.order)
             assert _greedy_generators(group, elements) == expected, factors
 
 
@@ -243,7 +248,7 @@ def test_backtrack_matches_filtered_closure():
     ]
     for factors in groups:
         group = FiniteAbelianGroup(factors)
-        tuples = group.coordinate_tuples
+        tuples = oracles.all_coord_tuples(factors)
         dense = [c for c in tuples if all(c)]
         supports = [[], [tuples[0]], [tuples[0], tuples[-1]]]
         for _ in range(2):
@@ -272,9 +277,8 @@ def test_backtrack_property_matches_filtered_closure(data):
         st.lists(st.integers(0, group.order - 1), max_size=min(6, group.order), unique=True)
     )
     mults = data.draw(st.lists(st.integers(1, 3), min_size=len(indices), max_size=len(indices)))
-    mult_map = {
-        group.character(group.coordinate_tuples[i]): m for i, m in zip(indices, mults)
-    }
+    tuples = oracles.all_coord_tuples(factors)
+    mult_map = {group.character(tuples[i]): m for i, m in zip(indices, mults)}
     sym = aut_v_subgroup(group, mult_map)
     assert [a.matrix for a in sym.elements] == filtered_closure(group, mult_map)
 
@@ -292,7 +296,8 @@ def test_support_orbits_match_the_full_partition(data):
         st.lists(st.integers(0, group.order - 1), max_size=min(6, group.order), unique=True)
     )
     mults = data.draw(st.lists(st.integers(1, 3), min_size=len(indices), max_size=len(indices)))
-    drawn = [(group.coordinate_tuples[i], m) for i, m in zip(indices, mults)]
+    tuples = oracles.all_coord_tuples(factors)
+    drawn = [(tuples[i], m) for i, m in zip(indices, mults)]
     if data.draw(st.booleans()):
         drawn = [
             (a.apply_coords(c), m) for c, m in drawn for a in sorted_full_closure(factors)
@@ -300,10 +305,10 @@ def test_support_orbits_match_the_full_partition(data):
     mult_map = {group.character(c): m for c, m in drawn}
     sym = aut_v_subgroup(group, mult_map)
     orbits = support_orbits(sym)
-    partition = orbit_partition(sym)
+    orbit_of = {c: orbit for orbit in orbit_partition(sym) for c in orbit.members}
     assert set(orbits) == {chi.coords for chi in mult_map}
     for chi in mult_map:
-        ours, full = orbits[chi.coords], partition.orbit_of(chi)
+        ours, full = orbits[chi.coords], orbit_of[chi.coords]
         assert ours.members == full.members
         assert ours.size == full.size
         assert ours.multiplicity == full.multiplicity == mult_map[chi]
@@ -357,29 +362,31 @@ def test_generator_subset_generates_elements():
     sym = aut_v_subgroup(g, {g.character((1,)): 1, g.character((3,)): 1,
                              g.character((5,)): 1, g.character((7,)): 1})
     assert sym.order == 4
-    regenerated = {a.perm for a in close_group(list(sym.generator_subset) or [Automorphism.identity(g)])}
-    assert regenerated == {a.perm for a in sym.elements}
+    regenerated = close_group(list(sym.generator_subset) or [Automorphism.identity(g)])
+    assert {oracles.perm_of(a.matrix, (8,)) for a in regenerated} == {
+        oracles.perm_of(a.matrix, (8,)) for a in sym.elements
+    }
 
 
 def test_orbit_partition_examples():
     g5 = FiniteAbelianGroup((5,))
     sym = aut_v_subgroup(g5, {g5.character((1,)): 1, g5.character((4,)): 1})
     part = orbit_partition(sym)
-    assert [[c.coords[0] for c in o.characters] for o in part.orbits] == [[0], [1, 4], [2, 3]]
-    assert [o.multiplicity for o in part.orbits] == [0, 1, 0]
+    assert [[c.coords[0] for c in o.characters] for o in part] == [[0], [1, 4], [2, 3]]
+    assert [o.multiplicity for o in part] == [0, 1, 0]
     sym2 = aut_v_subgroup(g5, {g5.character((1,)): 1, g5.character((2,)): 1})
-    assert len(orbit_partition(sym2).orbits) == 5
+    assert len(orbit_partition(sym2)) == 5
     trivial = FiniteAbelianGroup()
     part3 = orbit_partition(aut_v_subgroup(trivial, {}))
-    assert len(part3.orbits) == 1 and part3.orbits[0].characters[0].coords == ()
+    assert len(part3) == 1 and part3[0].characters[0].coords == ()
 
 
 def test_orbit_of_lookup():
     g5 = FiniteAbelianGroup((5,))
     sym = aut_v_subgroup(g5, {g5.character((1,)): 1, g5.character((4,)): 1})
-    part = orbit_partition(sym)
-    assert part.orbit_of(g5.character((3,))).size == 2
-    assert part.orbit_of(g5.zero()).size == 1
+    orbit_of = {c: orbit for orbit in orbit_partition(sym) for c in orbit.members}
+    assert orbit_of[(3,)].size == 2
+    assert orbit_of[(0,)].size == 1
 
 
 def test_acts_trivially_on_lines_examples():
@@ -416,10 +423,11 @@ def test_induced_mod_p_matrix():
 
 def test_orbits_match_bruteforce_endomorphism_oracle():
     # small sweep; the acceptance suite runs the full order <= 16 version
-    groups = [f for f in oracles.all_groups(12, max_rank=2) if f]
+    groups = [f for f in oracles.all_groups(12, max_rank=2) if f] + [(2, 2, 2), (2, 2, 4)]
     for factors in groups:
         group = FiniteAbelianGroup(factors)
         tuples = oracles.all_coord_tuples(factors)
+        index = oracles.coord_index(factors)
         brute = oracles.automorphism_perms(factors)
         for support in itertools.combinations(range(len(tuples)), 2):
             for mults in itertools.product((1, 2), repeat=2):
@@ -428,10 +436,7 @@ def test_orbits_match_bruteforce_endomorphism_oracle():
                 }
                 sym = aut_v_subgroup(group, mult_map)
                 part = orbit_partition(sym)
-                ours = frozenset(
-                    frozenset(group.index_of(c.coords) for c in o.characters)
-                    for o in part.orbits
-                )
+                ours = frozenset(frozenset(index[c.coords] for c in o.characters) for o in part)
                 by_index = [0] * len(tuples)
                 for i, m in zip(support, mults):
                     by_index[i] = m
@@ -442,18 +447,19 @@ def test_orbits_match_bruteforce_endomorphism_oracle():
                 ]
                 brute_orbits = oracles.orbits_of_perms(kept, len(tuples))
                 assert ours == brute_orbits, (factors, support, mults)
-                # the orbits hold indices; what is derived from them agrees
-                # with the brute-force members and with character_sum
+                # the members, and what is derived from them, agree with
+                # the brute-force members and with character_sum
                 expected = sorted(sorted(o) for o in brute_orbits)
-                assert [[group.index_of(c) for c in o.members] for o in part.orbits] == expected
-                for orbit, members in zip(part.orbits, expected):
+                assert [[index[c] for c in o.members] for o in part] == expected
+                for orbit, members in zip(part, expected):
                     chars = [group.character(tuples[i]) for i in members]
                     assert list(orbit.characters) == chars
                     assert orbit.size == len(members)
                     assert orbit.sum_coords == character_sum(chars, group).coords
                     assert orbit.multiplicity == by_index[members[0]]
+                orbit_of = {c: orbit for orbit in part for c in orbit.members}
                 for chi in group.characters():
-                    assert chi in part.orbit_of(chi).characters
+                    assert chi in orbit_of[chi.coords].characters
 
 
 def test_acts_trivially_matches_literal_element_check():
@@ -484,6 +490,6 @@ def test_multiplicity_constant_on_orbits():
             support = rng.sample(tuples, k=min(3, len(tuples)))
             mult = {group.character(c): rng.randint(1, 3) for c in support}
             part = orbit_partition(aut_v_subgroup(group, mult))
-            for orbit in part.orbits:
+            for orbit in part:
                 values = {mult.get(ch, 0) for ch in orbit.characters}
                 assert len(values) == 1

@@ -9,6 +9,7 @@ import pytest
 
 from neutralrep.cli import main
 from neutralrep.criteria import neutrality_report, report_from_json
+from neutralrep.errors import InputError
 from neutralrep.rep import rep_from_input
 
 C4_DOC = {
@@ -107,6 +108,30 @@ def test_schema_error_exit_code(tmp_path, capsys):
     notjson.write_text("{")
     assert main(["check", str(notjson)]) == 2
     assert main(["check", str(tmp_path / "missing.json")]) == 2
+
+
+@pytest.mark.parametrize(
+    "group, field",
+    [
+        ({"relations": [[True, 0], [0, 4]]}, "relations"),
+        ({"invariant_factors": [True, 4]}, "invariant_factors"),
+    ],
+)
+def test_bools_in_group_documents_are_refused(tmp_path, capsys, group, field):
+    # JSON's true is a Python bool, which is an int; a group built from it
+    # would be read as one with a 1 in its place
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps({**C4_DOC, "group": group}))
+    assert main(["check", str(doc)]) == 2
+    assert f'"{field}" must be a list of integer' in capsys.readouterr().err
+
+
+def test_bools_in_stored_pseudoreflections_are_refused(c4_file, capsys):
+    assert main(["check", c4_file, "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    doc["pseudoreflections"] = [[True]]
+    with pytest.raises(InputError, match='"pseudoreflections" must be a list'):
+        report_from_json(json.dumps(doc))
 
 
 def test_blend_output(tmp_path, capsys):
@@ -275,6 +300,15 @@ def test_curve_command(capsys):
 
     assert main(["curve", "--n", "6", "--genus", "4", "--quotient-genus", "2=1"]) == 2
     assert main(["curve", "--n", "2", "--genus", "3", "--quotient-genus", "2=0,bogus"]) == 2
+
+
+def test_curve_refuses_a_huge_non_divisor_at_once(capsys):
+    # 10^18 + 3 does not divide 6; that is decided before any trial division
+    start = time.perf_counter()
+    argv = ["curve", "--n", "6", "--genus", "3", "--quotient-genus", "2=1,3=1,1000000000000000003=0"]
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "1000000000000000003" in capsys.readouterr().err
 
 
 def test_marked_command(capsys):

@@ -3,7 +3,10 @@
 Criterion 8 compares a commit only with itself, so a refactor could change
 the bytes and still pass it.  These digests were recorded from the code
 before AutV was shared across the per-prime strategies; any change to the
-reports or blends of the maps below shows up here.
+reports or blends of the maps below shows up here.  The blend text digest
+and the rank-3 blend digest were recorded from the code before the blend's
+orbits came from generator matrices applied to coordinates, when they still
+came from index permutations.
 """
 
 import contextlib
@@ -13,12 +16,14 @@ import itertools
 import json
 
 from neutralrep.abelian import FiniteAbelianGroup
-from neutralrep.cli import _bounded_vectors, main
+from neutralrep.cli import _bounded_vectors, build_parser
 from neutralrep.criteria import neutrality_report, report_to_json
 from neutralrep.rep import Representation
 
 REPORTS_SHA256 = "e48749be910ca6f9e8b3213f09c50ad099988c394415db9102dddf5e0fe69ad1"
 BLENDS_SHA256 = "acaddebbc52e76e4df216d2f8fff84dc3b821e2110a93444799176b8fce434fa"
+BLEND_TEXT_SHA256 = "2704cd0611eda34bd2eb7e6285bab0ecab2584268ca80c971d6289616f8bff56"
+RANK3_BLENDS_SHA256 = "a3b70e51b4b63893eb09f3ccf759babc3639ce41c4cbae90dcc69216c9547bd1"
 
 
 def _maps():
@@ -33,6 +38,35 @@ def _maps():
             for support in itertools.combinations(tuples, size):
                 for mults in itertools.product((1, 2), repeat=size):
                     yield factors, dict(zip(support, mults))
+
+
+def _rank3_maps():
+    """Every support of one character, and every support of two characters
+    with multiplicities 1 and 2, on (Z/2)^3, (Z/2)^2 x Z/4 and (Z/3)^3."""
+    for factors in ((2, 2, 2), (2, 2, 4), (3, 3, 3)):
+        tuples = list(itertools.product(*(range(d) for d in factors)))
+        for size in (1, 2):
+            for support in itertools.combinations(tuples, size):
+                yield factors, dict(zip(support, (1, 2)))
+
+
+def _blend_output(tmp_path, maps, flags):
+    """The concatenated stdout of ``blend`` on each map, with the parsed
+    arguments reused so that argparse is not rebuilt per map."""
+    path = tmp_path / "doc.json"
+    args = build_parser().parse_args(["blend", str(path), *flags])
+    out = io.StringIO()
+    for factors, mult in maps:
+        doc = {
+            "group": {"invariant_factors": list(factors)},
+            "representation": [
+                {"character": list(c), "multiplicity": m} for c, m in mult.items()
+            ],
+        }
+        path.write_text(json.dumps(doc))
+        with contextlib.redirect_stdout(out):
+            assert args.func(args) == 0
+    return out.getvalue()
 
 
 def _sha256(text):
@@ -53,16 +87,14 @@ def test_report_bytes_match_pinned_digest():
 
 
 def test_blend_json_bytes_match_pinned_digest(tmp_path):
-    path = tmp_path / "doc.json"
-    out = io.StringIO()
-    for factors, mult in _maps():
-        doc = {
-            "group": {"invariant_factors": list(factors)},
-            "representation": [
-                {"character": list(c), "multiplicity": m} for c, m in mult.items()
-            ],
-        }
-        path.write_text(json.dumps(doc))
-        with contextlib.redirect_stdout(out):
-            assert main(["blend", str(path), "--json"]) == 0
-    assert _sha256(out.getvalue()) == BLENDS_SHA256
+    assert _sha256(_blend_output(tmp_path, _maps(), ["--json"])) == BLENDS_SHA256
+
+
+def test_blend_text_bytes_match_pinned_digest(tmp_path):
+    assert _sha256(_blend_output(tmp_path, _maps(), [])) == BLEND_TEXT_SHA256
+
+
+def test_rank3_blend_json_bytes_match_pinned_digest(tmp_path):
+    maps = list(_rank3_maps())
+    assert len(maps) == 550
+    assert _sha256(_blend_output(tmp_path, maps, ["--json"])) == RANK3_BLENDS_SHA256

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from neutralrep.abelian import FiniteAbelianGroup
 from neutralrep.criteria import (
     Certificate,
@@ -79,7 +80,8 @@ def representations(draw):
         st.lists(st.integers(0, group.order - 1), min_size=1, max_size=4, unique=True)
     )
     mults = draw(st.lists(st.integers(1, 3), min_size=len(indices), max_size=len(indices)))
-    mult = {group.coordinate_tuples[i]: m for i, m in zip(indices, mults)}
+    tuples = oracles.all_coord_tuples(factors)
+    mult = {tuples[i]: m for i, m in zip(indices, mults)}
     if draw(st.booleans()):
         # closed under negation, so -1 preserves the map and the line
         # criterion meets nontrivial symmetries
