@@ -9,6 +9,7 @@ All I/O is UTF-8 JSON or plain text.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -33,7 +34,9 @@ from .geometry import (
 from .rep import Representation, blended_decomposition, is_faithful, rep_from_input
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared after it."""
     parser = argparse.ArgumentParser(
         prog="neutralrep",
         description=(

@@ -763,14 +763,23 @@ def verdict_to_dict(verdict: PrimeVerdict) -> dict:
     }
 
 
+def _is_str_list(values) -> bool:
+    return isinstance(values, list) and all(isinstance(x, str) for x in values)
+
+
 def verdict_from_dict(doc) -> PrimeVerdict:
     if not isinstance(doc, dict) or "prime" not in doc or "verdict" not in doc:
         raise InputError("per-prime entry must carry 'prime' and 'verdict'")
     prime = doc["prime"]
+    if not isinstance(prime, int) or isinstance(prime, bool):
+        raise InputError(f"per-prime entry has a non-integer prime {prime!r}")
     if doc["verdict"] == "certified":
         return PrimeVerdict(prime, certificate_from_dict(doc))
     if doc["verdict"] == "unknown":
-        return PrimeVerdict(prime, None, tuple(doc.get("reasons", ())))
+        reasons = doc.get("reasons", [])
+        if not _is_str_list(reasons):
+            raise InputError('"reasons" must be a list of strings')
+        return PrimeVerdict(prime, None, tuple(reasons))
     raise InputError(f"unknown verdict value {doc['verdict']!r}")
 
 
@@ -831,6 +840,11 @@ def report_from_dict(doc) -> NeutralityReport:
     refs = doc["pseudoreflections"]
     if not isinstance(refs, list) or not all(map(is_int_list, refs)):
         raise InputError('"pseudoreflections" must be a list of coordinate lists')
+    for key in ("faithful", "factorial_shortcut"):
+        if not isinstance(doc[key], bool):
+            raise InputError(f'"{key}" must be true or false')
+    if not _is_str_list(doc["notes"]):
+        raise InputError('"notes" must be a list of strings')
     return NeutralityReport(
         representation=rep,
         verdicts=verdicts,

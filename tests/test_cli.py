@@ -1,5 +1,6 @@
 """Command-line surface: outputs, exit codes, JSON round trips."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -7,8 +8,8 @@ import time
 
 import pytest
 
-from neutralrep.cli import main
-from neutralrep.criteria import neutrality_report, report_from_json
+from neutralrep.cli import build_parser, main
+from neutralrep.criteria import neutrality_report, report_from_json, report_to_dict
 from neutralrep.errors import InputError
 from neutralrep.rep import rep_from_input
 
@@ -132,6 +133,80 @@ def test_bools_in_stored_pseudoreflections_are_refused(c4_file, capsys):
     doc["pseudoreflections"] = [[True]]
     with pytest.raises(InputError, match='"pseudoreflections" must be a list'):
         report_from_json(json.dumps(doc))
+
+
+def test_loosely_typed_stored_reports_are_refused():
+    doc = report_to_dict(neutrality_report(rep_from_input(RHO2_DOC)))
+    report_from_json(json.dumps(doc))
+    bad = {**doc, "faithful": "banana", "factorial_shortcut": [1], "notes": "xyz"}
+    with pytest.raises(InputError):
+        report_from_json(json.dumps(bad))
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("faithful", "banana", '"faithful" must be true or false'),
+        ("faithful", 1, '"faithful" must be true or false'),
+        ("factorial_shortcut", [1], '"factorial_shortcut" must be true or false'),
+        ("notes", "xyz", '"notes" must be a list of strings'),
+        ("notes", [1], '"notes" must be a list of strings'),
+        ("prime", "two", "non-integer prime 'two'"),
+        ("prime", True, "non-integer prime True"),
+        ("reasons", "xyz", '"reasons" must be a list of strings'),
+    ],
+)
+def test_each_loosely_typed_report_field_is_refused(field, value, message):
+    doc = report_to_dict(neutrality_report(rep_from_input(RHO2_DOC)))
+    assert doc["primes"][0]["verdict"] == "unknown"
+    if field in ("prime", "reasons"):
+        doc["primes"][0][field] = value
+    else:
+        doc[field] = value
+    with pytest.raises(InputError, match=message):
+        report_from_json(json.dumps(doc))
+
+
+def test_repeated_main_calls_share_one_parser(c4_file, monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    build_parser.cache_clear()
+    assert main(["check", c4_file]) == 0
+    assert len(built) == 7  # the parser and its six commands
+    del built[:]
+
+    # a --cap given once does not stay for the next call
+    assert main(["blend", c4_file, "--cap", "1"]) == 3
+    assert main(["blend", c4_file]) == 0
+    # nor does a --prime
+    capsys.readouterr()
+    assert main(["check", c4_file, "--prime", "2", "--json"]) == 0
+    verdict = json.loads(capsys.readouterr().out)
+    assert verdict["prime"] == 2 and "primes" not in verdict
+    assert main(["check", c4_file, "--json"]) == 0
+    assert [v["prime"] for v in json.loads(capsys.readouterr().out)["primes"]] == [2]
+    # a usage error leaves the parser usable
+    with pytest.raises(SystemExit) as exc:
+        main(["check"])
+    assert exc.value.code == 2
+    assert main(["check", c4_file]) == 0
+    # help prints the same text each time
+    for argv in (["--help"], ["check", "--help"]):
+        texts = []
+        for _ in range(2):
+            capsys.readouterr()
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1] and "usage: neutralrep" in texts[0]
+    assert built == []
 
 
 def test_blend_output(tmp_path, capsys):

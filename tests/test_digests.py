@@ -16,7 +16,7 @@ import itertools
 import json
 
 from neutralrep.abelian import FiniteAbelianGroup
-from neutralrep.cli import _bounded_vectors, build_parser
+from neutralrep.cli import _bounded_vectors, main
 from neutralrep.criteria import neutrality_report, report_to_json
 from neutralrep.rep import Representation
 
@@ -51,10 +51,9 @@ def _rank3_maps():
 
 
 def _blend_output(tmp_path, maps, flags):
-    """The concatenated stdout of ``blend`` on each map, with the parsed
-    arguments reused so that argparse is not rebuilt per map."""
+    """The concatenated stdout of ``neutralrep blend`` on each map, one
+    ``main`` call per map."""
     path = tmp_path / "doc.json"
-    args = build_parser().parse_args(["blend", str(path), *flags])
     out = io.StringIO()
     for factors, mult in maps:
         doc = {
@@ -65,7 +64,7 @@ def _blend_output(tmp_path, maps, flags):
         }
         path.write_text(json.dumps(doc))
         with contextlib.redirect_stdout(out):
-            assert args.func(args) == 0
+            assert main(["blend", str(path), *flags]) == 0
     return out.getvalue()
 
 
