@@ -504,24 +504,40 @@ def mod_p_image(chi: Character, p: int) -> tuple[int, ...]:
 def rank_mod_p(vectors: Sequence[Sequence[int]], p: int) -> int:
     """Rank of a list of F_p row vectors.
 
-    Each row is reduced against the echelon basis of the rows before it
-    (every basis row is zero at the pivots chosen before its own), and the
-    scan stops once the basis spans the whole row space.
+    Each row joins the echelon basis of the rows before it when it is
+    independent of them (``_echelon_add``), and the scan stops once the
+    basis spans the whole row space.
     """
-    basis: list[tuple[int, list[int]]] = []  # (pivot column, row with 1 there)
+    basis: list[tuple[int, list[int]]] = []
     for v in vectors:
-        row = [x % p for x in v]
-        for col, b in basis:
-            c = row[col]
-            if c:
-                row = [(x - c * y) % p for x, y in zip(row, b)]
-        col = next((j for j, x in enumerate(row) if x), None)
-        if col is not None:
-            inv = pow(row[col], -1, p)
-            basis.append((col, [x * inv % p for x in row]))
-            if len(basis) == len(row):
-                break
+        if _echelon_add(v, basis, p) and len(basis) == len(v):
+            break
     return len(basis)
+
+
+def _reduce_mod_p(v: Sequence[int], basis: list[tuple[int, list[int]]], p: int) -> list[int]:
+    """``v`` mod p, reduced against an echelon ``basis``."""
+    v = [x % p for x in v]
+    for pivot, b in basis:
+        c = v[pivot]
+        if c:
+            v = [(x - c * y) % p for x, y in zip(v, b)]
+    return v
+
+
+def _echelon_add(v: Sequence[int], basis: list[tuple[int, list[int]]], p: int) -> bool:
+    """One mod-p echelon step: reduce ``v`` against ``basis``, a list of
+    (pivot column, row with 1 there) pairs in which every row is zero at
+    the pivots chosen before its own, and append the remainder, scaled to 1
+    at its first nonzero entry, when it is not zero.  Returns whether ``v``
+    was independent of the basis."""
+    v = _reduce_mod_p(v, basis, p)
+    pivot = next((j for j, x in enumerate(v) if x), None)
+    if pivot is None:
+        return False
+    inv = pow(v[pivot], -1, p)
+    basis.append((pivot, [x * inv % p for x in v]))
+    return True
 
 
 # ---------------------------------------------------------------------------

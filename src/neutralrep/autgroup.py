@@ -29,10 +29,11 @@ characters (``orbit_partition``).
 Closures of generator lists are built one left coset r*H at a time
 (Dimino's algorithm), on column form: an element is the tuple of its
 columns, so r is evaluated once on the distinct columns of H and each r*h is
-read off by lookups, with no matrix product.  The same step serves
-``close_group``, the column-form closure that certificate replay filters,
-and the greedy generating subset of AutV; an :class:`Automorphism` is built
-only where a caller receives one.
+read off by lookups, with no matrix product.  One driver serves
+``close_group``, the closure that certificate replay filters, and AutV,
+whose backtrack leaves stream into it; beside the closure it returns the
+greedy generating subset.  An :class:`Automorphism` is built only where a
+caller receives one.
 """
 
 from __future__ import annotations
@@ -43,9 +44,9 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import mul
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .abelian import DEFAULT_CAP, Character, FiniteAbelianGroup
+from .abelian import DEFAULT_CAP, Character, FiniteAbelianGroup, _echelon_add, _reduce_mod_p
 from .errors import CapExceededError
 
 
@@ -110,10 +111,6 @@ class Automorphism:
         )
         return Automorphism(self.group, rows)
 
-    @property
-    def is_identity(self) -> bool:
-        return self == Automorphism.identity(self.group)
-
 
 @lru_cache(maxsize=64)
 def _mod_p_blocks(group: FiniteAbelianGroup) -> tuple[tuple[tuple, ...], ...]:
@@ -144,26 +141,13 @@ def _independence_test(
     so each row tested costs one reduction per block."""
     reduced = []
     for p, cols, above in blocks:
-        basis: list[tuple[int, list[int]]] = []  # (pivot column, row with 1 there)
+        basis: list[tuple[int, list[int]]] = []
         for a in above:
-            v = _reduce_mod_p([rows[a][j] for j in cols], basis, p)
-            pivot = next(j for j, x in enumerate(v) if x)
-            inv = pow(v[pivot], -1, p)
-            basis.append((pivot, [x * inv % p for x in v]))
+            _echelon_add([rows[a][j] for j in cols], basis, p)
         reduced.append((p, cols, basis))
     return lambda row: all(
         any(_reduce_mod_p([row[j] for j in cols], basis, p)) for p, cols, basis in reduced
     )
-
-
-def _reduce_mod_p(v: list[int], basis: list[tuple[int, list[int]]], p: int) -> list[int]:
-    """``v`` mod p, reduced against an echelon ``basis``."""
-    v = [x % p for x in v]
-    for pivot, b in basis:
-        c = v[pivot]
-        if c:
-            v = [(x - c * y) % p for x, y in zip(v, b)]
-    return v
 
 
 @lru_cache(maxsize=256)
@@ -239,28 +223,32 @@ def close_group(
     Raises :class:`CapExceededError` before listing a coset that would take
     the subgroup past ``cap`` elements, that is, exactly when the closure
     has more than ``cap`` elements."""
-    columns = _close_columns(gens, cap)
-    return [Automorphism(gens[0].group, tuple(zip(*cols))) for cols in columns]
+    if not gens:
+        raise ValueError("need at least one automorphism to close over")
+    group = gens[0].group
+    columns, _ = _close_columns(group, gens, cap)
+    return [Automorphism(group, tuple(zip(*cols))) for cols in columns]
 
 
 def _close_columns(
-    gens: Sequence[Automorphism],
+    group: FiniteAbelianGroup,
+    gens: Iterable[Automorphism],
     cap: int = DEFAULT_CAP,
     extra: Sequence[tuple[int, ...]] = (),
-) -> list[tuple[tuple[int, ...], ...]]:
+) -> tuple[list[tuple[tuple[int, ...], ...]], list[Automorphism]]:
     """``close_group`` in column form, with no :class:`Automorphism` built:
     each element is the tuple of its columns, the images of the standard
-    generators, followed by its images of the ``extra`` points."""
+    generators, followed by its images of the ``extra`` points; and the
+    greedy generating subset, the members of the iterable ``gens`` (which
+    may be empty) that lay outside the closure of those before them."""
     if cap < 1:
         raise ValueError("cap must be at least 1")
-    if not gens:
-        raise ValueError("need at least one automorphism to close over")
     # the identity matrix is its own column form
-    ident = Automorphism.identity(gens[0].group).matrix + tuple(extra)
+    ident = Automorphism.identity(group).matrix + tuple(extra)
     elements, seen, used = [ident], {ident}, []
     for s in gens:
         _extend_closure(elements, seen, used, s, cap)
-    return elements
+    return elements, used
 
 
 def _images(
@@ -315,19 +303,15 @@ class AutVSubgroup:
     ``support`` lists the (coordinates, multiplicity) pairs of the
     characters of nonzero multiplicity, in coordinate order; every other
     character has multiplicity zero, so nothing sized |G| is kept.
-    ``elements`` is the complete subgroup sorted lexicographically by
-    matrix; ``generator_subset`` is a greedily chosen generating subset
-    (every member was outside the closure of its predecessors).
+    No element list is kept: ``order`` is |AutV|, and ``generator_subset``
+    holds each element that, in matrix order, lay outside the closure of
+    the ones before it (the greedy generating subset).
     """
 
     group: FiniteAbelianGroup
     support: tuple[tuple[tuple[int, ...], int], ...]
-    elements: tuple[Automorphism, ...]
+    order: int
     generator_subset: tuple[Automorphism, ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
 
 
 def aut_v_subgroup(
@@ -344,6 +328,7 @@ def aut_v_subgroup(
     bijections that map each support character to one of the same
     multiplicity.  Such a bijection permutes each multiplicity class of the
     support, and the map vanishes off the support, so it preserves the map.
+    The leaves stream into one closure; none is kept.
 
     The computation lives on the character side.  Transporting to the point
     side is an anti-isomorphism, and since the computed subgroup is closed
@@ -358,12 +343,13 @@ def aut_v_subgroup(
         if m:
             support[chi.coords] = int(m)
     check_aut_order(group, cap)
-    elements = [Automorphism(group, rows) for rows in _preserving_matrices(group, support)]
+    leaves = (Automorphism(group, rows) for rows in _preserving_matrices(group, support))
+    elements, used = _close_columns(group, leaves, cap)
     return AutVSubgroup(
         group=group,
         support=tuple(sorted(support.items())),
-        elements=tuple(elements),
-        generator_subset=tuple(_greedy_generators(group, elements)),
+        order=len(elements),
+        generator_subset=tuple(used),
     )
 
 
@@ -380,9 +366,9 @@ def _candidate_rows(group: FiniteAbelianGroup, i: int) -> tuple[tuple[int, ...],
 
 def _preserving_matrices(
     group: FiniteAbelianGroup, support: Mapping[tuple[int, ...], int]
-) -> list[tuple[tuple[int, ...], ...]]:
+) -> Iterator[tuple[tuple[int, ...], ...]]:
     """The automorphism matrices mapping each support character to one of
-    the same multiplicity, in lexicographic order, built row by row.
+    the same multiplicity, yielded in lexicographic order, built row by row.
 
     Row i gives coordinate i of every image, so after it the first i+1
     image coordinates of each support character must begin some support
@@ -394,14 +380,13 @@ def _preserving_matrices(
     items = list(support.items())
     prefixes = [{(c[: i + 1], m) for c, m in items} for i in range(k)]
     dependent = [tuple(b for b in blocks if b[2]) for blocks in _mod_p_blocks(group)]
-    found: list[tuple[tuple[int, ...], ...]] = []
     # depth first; children are pushed in reverse so they pop in lex order
     stack: list[tuple[tuple, list]] = [((), [()] * len(items))]
     while stack:
         rows, images = stack.pop()
         i = len(rows)
         if i == k:
-            found.append(rows)
+            yield rows
             continue
         di, allowed = d[i], prefixes[i]
         independent = _independence_test(dependent[i], rows)
@@ -417,19 +402,6 @@ def _preserving_matrices(
                 if independent(row):
                     children.append((rows + (row,), grown))
         stack.extend(reversed(children))
-    return found
-
-
-def _greedy_generators(
-    group: FiniteAbelianGroup, elements: Sequence[Automorphism]
-) -> list[Automorphism]:
-    """The members of ``elements`` that lie outside the closure of the
-    members chosen before them, in order."""
-    ident = Automorphism.identity(group).matrix
-    closure, covered, chosen = [ident], {ident}, []
-    for a in elements:
-        _extend_closure(closure, covered, chosen, a, cap=len(elements))
-    return chosen
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
+import operator
 import sys
 
 from .abelian import DEFAULT_CAP, FiniteAbelianGroup, is_prime
@@ -323,6 +325,8 @@ def _extract_certificates(doc):
         entries = doc
     else:
         raise MalformedCertificateError("certificate document shape not recognized")
+    if not isinstance(entries, list):
+        raise MalformedCertificateError("certificate entries must be a list")
     certs = []
     for entry in entries:
         if isinstance(entry, dict) and entry.get("verdict") == "unknown":
@@ -348,13 +352,12 @@ def cmd_verify(args) -> int:
 
 def _bounded_vectors(slots: int, total: int):
     """All nonnegative integer vectors of the given length with sum <= total,
-    in lexicographic order."""
-    if slots == 0:
-        yield ()
-        return
-    for first in range(total + 1):
-        for rest in _bounded_vectors(slots - 1, total - first):
-            yield (first,) + rest
+    in lexicographic order.  A vector's running sums are a nondecreasing
+    tuple with entries <= total, and lexicographic order on those is order
+    on the vectors, so they are read off ``combinations_with_replacement``
+    with no recursion."""
+    for sums in itertools.combinations_with_replacement(range(total + 1), slots):
+        yield tuple(map(operator.sub, sums, (0,) + sums))
 
 
 def cmd_search(args) -> int:

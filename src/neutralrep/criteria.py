@@ -47,7 +47,6 @@ from .abelian import (
 from .autgroup import (
     Automorphism,
     _close_columns,
-    _greedy_generators,
     acts_trivially_on_lines,
     aut_generators,
     check_aut_order,
@@ -538,14 +537,12 @@ def _recomputed_preserving_elements(V: Representation) -> list[Automorphism]:
     :class:`Automorphism` objects."""
     group = V.group
     check_aut_order(group, DEFAULT_CAP)
-    gens = aut_generators(group)
-    if not gens:
-        return [Automorphism.identity(group)]
     k = group.rank
     mult = {chi.coords: m for chi, m in V.entries}
     wanted = tuple(mult.values())
     elements = []
-    for images in _close_columns(gens, DEFAULT_CAP, tuple(mult)):
+    closure, _ = _close_columns(group, aut_generators(group), DEFAULT_CAP, tuple(mult))
+    for images in closure:
         if tuple(map(mult.get, images[k:])) == wanted:
             elements.append(Automorphism(group, tuple(zip(*images[:k]))))
     elements.sort(key=lambda a: a.matrix)
@@ -633,7 +630,7 @@ def _verify_lines_generators(V: Representation, p: int, witness: dict) -> bool:
     for a in elements:
         if not _fixes_every_line(induced_mod_p_matrix(a, p), p):
             return False
-    subset = _greedy_generators(group, elements)
+    _, subset = _close_columns(group, elements, DEFAULT_CAP)
     recomputed_scalars = []
     for a in subset:
         induced = induced_mod_p_matrix(a, p)

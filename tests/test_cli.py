@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from neutralrep.cli import build_parser, main
+from neutralrep.cli import _bounded_vectors, build_parser, main
 from neutralrep.criteria import neutrality_report, report_from_json, report_to_dict
 from neutralrep.errors import InputError
 from neutralrep.rep import rep_from_input
@@ -324,6 +324,12 @@ def test_verify_tampered_and_malformed(c4_file, tmp_path, capsys):
                                      "witness": {"dim": 2, "fixed_dim": 1}}))
     assert main(["verify", c4_file, str(malformed)]) == 2
 
+    # entry lists that are not lists are malformed documents, not crashes
+    for doc in ({"primes": 5}, {"certificates": None}):
+        malformed.write_text(json.dumps(doc))
+        assert main(["verify", c4_file, str(malformed)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
 
 def test_verify_single_verdict_object(c4_file, tmp_path, capsys):
     assert main(["check", c4_file, "--prime", "2", "--json"]) == 0
@@ -362,6 +368,24 @@ def test_search_json_and_edge_cases(capsys):
     assert "(total 0)" in capsys.readouterr().out
 
     assert main(["search", "--cyclic", "1", "--max-dim", "2"]) == 2
+
+    # a long map vector is built without recursion
+    assert main(["search", "--cyclic", "1200", "--max-dim", "0", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["total"] == 1
+
+
+def test_bounded_vectors_match_the_recursive_definition():
+    def recursive(slots, total):
+        if slots == 0:
+            yield ()
+            return
+        for first in range(total + 1):
+            for rest in recursive(slots - 1, total - first):
+                yield (first,) + rest
+
+    for slots in range(17):
+        for total in range(5):
+            assert list(_bounded_vectors(slots, total)) == list(recursive(slots, total))
 
 
 def test_curve_command(capsys):
