@@ -4,7 +4,6 @@ schemes, with replayable certificates and field-of-moduli applications."""
 from .abelian import (
     DEFAULT_CAP,
     Character,
-    CyclicFactorPresentation,
     FiniteAbelianGroup,
     PrimaryPart,
     Subgroup,
@@ -13,7 +12,6 @@ from .abelian import (
     mod_p_image,
     primary_projection,
     rank_mod_p,
-    restriction_faithful_on_primary,
     smith_normal_form,
 )
 from .autgroup import (
@@ -54,18 +52,14 @@ from .geometry import (
 )
 from .rep import (
     BlendedDecomposition,
-    GroupElement,
     Representation,
     blended_decomposition,
     fixed_dim,
-    group_elements,
     is_faithful,
-    pairing,
     pseudoreflections,
     rep_from_input,
 )
 
 from_relations = FiniteAbelianGroup.from_relations
-from_cyclic_factors = FiniteAbelianGroup.from_cyclic_factors
 
 __version__ = "0.1.0"

@@ -4,8 +4,8 @@ A group is stored canonically by its invariant factors d_1 | d_2 | ... | d_k
 (all >= 2; the empty list is the trivial group).  Elements -- "characters",
 written additively -- are reduced coordinate tuples.  On top of that the
 module provides Smith normal form over the integers, construction from
-relation matrices or arbitrary cyclic-factor lists, primary parts and mod-p
-reductions, and subgroup generation / membership tests.
+relation matrices, primary parts and mod-p reductions, and subgroup
+generation / membership tests.
 
 All types are immutable after construction and all operations are pure, so
 values can be shared freely across concurrent tasks.
@@ -13,18 +13,15 @@ values can be shared freely across concurrent tasks.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     BadCoordinateLengthError,
-    CapExceededError,
     InfiniteGroupError,
     InvalidInvariantFactorsError,
-    NonCyclicPrimaryPartError,
 )
 
 #: Default hard cap on closure enumerations (number of elements kept).
@@ -184,8 +181,8 @@ class FiniteAbelianGroup:
 
     ``invariant_factors`` is an ordered tuple d_1 | d_2 | ... | d_k with each
     d_i >= 2; the empty tuple is the trivial group.  This canonical shape
-    makes equality and hashing trivial; constructors that accept other
-    presentations (`from_relations`, `from_cyclic_factors`) normalize first.
+    makes equality and hashing trivial; `from_relations`, which accepts a
+    relation matrix, normalizes first.
     """
 
     invariant_factors: tuple[int, ...] = ()
@@ -225,19 +222,6 @@ class FiniteAbelianGroup:
                 "relation matrix has rank below the number of generators"
             )
         return cls(tuple(d for d in diag if d > 1))
-
-    @classmethod
-    def from_cyclic_factors(cls, moduli: Sequence[int]) -> "CyclicFactorPresentation":
-        """Normalize a direct sum of cyclic groups Z/n_1 + ... + Z/n_r.
-
-        Returns a :class:`CyclicFactorPresentation` whose ``group`` is the
-        invariant-factor form and whose ``character`` method converts
-        coordinates given in the original factors.  The conversion is the
-        canonical one: per prime, the p-power component of each original
-        coordinate is carried over unchanged, so primary projections commute
-        with the re-coordinatization.
-        """
-        return CyclicFactorPresentation.build(cls, moduli)
 
     # -- basic data ---------------------------------------------------------
 
@@ -281,11 +265,6 @@ class FiniteAbelianGroup:
 
     def character(self, coords: Sequence[int]) -> "Character":
         return Character(tuple(coords), self)
-
-    def characters(self) -> Iterator["Character"]:
-        """All characters in lexicographic coordinate order."""
-        for coords in itertools.product(*(range(d) for d in self.invariant_factors)):
-            yield Character(coords, self)
 
     # -- structure -----------------------------------------------------------
 
@@ -391,10 +370,6 @@ class Character:
     __rmul__ = __mul__
 
     @property
-    def is_zero(self) -> bool:
-        return not any(self.coords)
-
-    @property
     def order(self) -> int:
         d = self.group.invariant_factors
         return math.lcm(*(di // math.gcd(di, a) for di, a in zip(d, self.coords))) if d else 1
@@ -416,63 +391,6 @@ class PrimaryPart:
     group: FiniteAbelianGroup
     parent: FiniteAbelianGroup
     indices: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class CyclicFactorPresentation:
-    """A group given as Z/n_1 + ... + Z/n_r together with the canonical
-    conversion of presentation coordinates into the normalized group."""
-
-    moduli: tuple[int, ...]
-    group: FiniteAbelianGroup
-    # slot s of the normalized group collects, per prime p, the p-power part
-    # of presentation coordinate _source[s][p]
-    _sources: tuple[tuple[tuple[int, int, int], ...], ...]  # (prime_power, prime, coord)
-
-    @classmethod
-    def build(cls, group_cls, moduli: Sequence[int]) -> "CyclicFactorPresentation":
-        mods = tuple(int(n) for n in moduli)
-        if any(n < 1 for n in mods):
-            raise InvalidInvariantFactorsError("cyclic factor moduli must be >= 1")
-        # per prime: list of (exponent, source coordinate), largest exponent first
-        per_prime: dict[int, list[tuple[int, int]]] = {}
-        for j, n in enumerate(mods):
-            for p, e in prime_factorization(n).items():
-                per_prime.setdefault(p, []).append((e, j))
-        for entries in per_prime.values():
-            entries.sort(key=lambda t: (-t[0], t[1]))
-        depth = max((len(v) for v in per_prime.values()), default=0)
-        # slot 0 is the largest invariant factor; build then reverse
-        slots: list[list[tuple[int, int, int]]] = [[] for _ in range(depth)]
-        for p in sorted(per_prime):
-            for s, (e, j) in enumerate(per_prime[p]):
-                slots[s].append((p**e, p, j))
-        factors = tuple(math.prod(q for q, _, _ in slot) for slot in reversed(slots))
-        return cls(mods, group_cls(factors), tuple(tuple(s) for s in reversed(slots)))
-
-    def character(self, coords: Sequence[int]) -> Character:
-        """Convert presentation coordinates to the normalized group."""
-        coords = tuple(int(a) for a in coords)
-        if len(coords) != len(self.moduli):
-            raise BadCoordinateLengthError(
-                f"expected {len(self.moduli)} coordinates, got {len(coords)}"
-            )
-        out = []
-        for slot in self._sources:
-            residues = [(coords[j] % q, q) for q, _, j in slot]
-            out.append(_crt(residues))
-        return self.group.character(out)
-
-
-def _crt(residues: list[tuple[int, int]]) -> int:
-    """Chinese remainder recombination for pairwise coprime moduli."""
-    x, m = 0, 1
-    for r, q in residues:
-        # solve x' = x (mod m), x' = r (mod q)
-        inv = pow(m, -1, q)
-        x = x + m * ((r - x) * inv % q)
-        m *= q
-    return x
 
 
 # ---------------------------------------------------------------------------
@@ -616,48 +534,6 @@ class Subgroup:
             return 1
         _, diag = self._snf_data
         return self.group.order // math.prod(diag)
-
-    def elements(self, cap: int = DEFAULT_CAP) -> tuple[Character, ...]:
-        """Enumerate the subgroup by breadth-first closure, sorted
-        lexicographically; raises :class:`CapExceededError` past ``cap``."""
-        d = self.group.invariant_factors
-        gens = [g.coords for g in self.generators]
-        zero = (0,) * len(d)
-        seen = {zero}
-        frontier = [zero]
-        while frontier:
-            new = []
-            for x in frontier:
-                for g in gens:
-                    y = tuple((a + b) % di for a, b, di in zip(x, g, d))
-                    if y not in seen:
-                        if len(seen) >= cap:
-                            raise CapExceededError(cap)
-                        seen.add(y)
-                        new.append(y)
-            frontier = new
-        return tuple(self.group.character(c) for c in sorted(seen))
-
-
-def restriction_faithful_on_primary(chi: Character, p: int) -> bool:
-    """For cyclic p-primary part: does the restriction of ``chi`` to the
-    p-Sylow subgroup have trivial kernel, i.e. does its primary projection
-    generate the whole primary part?
-
-    Raises :class:`NonCyclicPrimaryPartError` when the p-rank exceeds 1 --
-    a single character is then never faithful, and silently answering False
-    would hide a misuse.
-    """
-    pp = chi.group.primary_part(p)
-    rank = pp.group.rank
-    if rank > 1:
-        raise NonCyclicPrimaryPartError(
-            f"{p}-primary part has rank {rank}; a single character "
-            "cannot restrict faithfully"
-        )
-    if rank == 0:
-        return True
-    return primary_projection(chi, p).coords[0] % p != 0
 
 
 def character_sum(chars: Iterable[Character], group: FiniteAbelianGroup) -> Character:

@@ -53,7 +53,7 @@ from .errors import CapExceededError
 @dataclass(frozen=True)
 class Automorphism:
     """An automorphism of a finite abelian group, stored as its reduced
-    matrix; it acts on characters by the matrix-vector product."""
+    matrix; it acts on character coordinates by the matrix-vector product."""
 
     group: FiniteAbelianGroup
     matrix: tuple[tuple[int, ...], ...]
@@ -89,27 +89,9 @@ class Automorphism:
         rows = tuple(tuple(1 if i == j else 0 for j in range(k)) for i in range(k))
         return cls(group, rows)
 
-    def apply(self, chi: Character) -> Character:
-        if chi.group != self.group:
-            raise ValueError("character belongs to a different group")
-        return self.group.character(self.apply_coords(chi.coords))
-
     def apply_coords(self, coords: Sequence[int]) -> tuple[int, ...]:
         d = self.group.invariant_factors
         return tuple([sum(map(mul, row, coords)) % di for row, di in zip(self.matrix, d)])
-
-    def __mul__(self, other: "Automorphism") -> "Automorphism":
-        """Composition: ``(f * g)(x) == f(g(x))``."""
-        if not isinstance(other, Automorphism):
-            return NotImplemented
-        if other.group != self.group:
-            raise ValueError("automorphisms of different groups")
-        cols = tuple(zip(*other.matrix))
-        rows = tuple(
-            tuple([sum(map(mul, row, col)) % di for col in cols])
-            for row, di in zip(self.matrix, self.group.invariant_factors)
-        )
-        return Automorphism(self.group, rows)
 
 
 @lru_cache(maxsize=64)

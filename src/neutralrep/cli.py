@@ -123,8 +123,15 @@ def _checked_cap(cap: int) -> int:
 
 
 def _load_json(path):
-    with open(path, encoding="utf-8") as handle:
-        return json.load(handle)
+    """The parsed document, or an :class:`InputError` for a file that is not
+    UTF-8, nests too deep or holds an integer too long to convert."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return json.load(handle)
+    except json.JSONDecodeError:
+        raise
+    except (ValueError, RecursionError) as exc:
+        raise InputError(f"{path}: {exc}") from None
 
 
 def _load_representation(path) -> Representation:
@@ -194,7 +201,7 @@ def cmd_check(args) -> int:
     _print_header(V)
     print(f"faithful: {'yes' if report.faithful else 'no'}")
     if report.pseudoreflections:
-        listed = ", ".join(str(list(g.coords)) for g in report.pseudoreflections)
+        listed = ", ".join(str(list(g)) for g in report.pseudoreflections)
         print(f"pseudoreflections: {listed}")
     if report.factorial_shortcut:
         print(

@@ -60,7 +60,6 @@ from .errors import (
     NotCyclicError,
 )
 from .rep import (
-    GroupElement,
     Representation,
     fixed_dim,
     is_faithful,
@@ -120,7 +119,7 @@ class NeutralityReport:
     verdicts: tuple[PrimeVerdict, ...]
     overall: str
     faithful: bool
-    pseudoreflections: tuple[GroupElement, ...]
+    pseudoreflections: tuple[tuple[int, ...], ...]
     factorial_shortcut: bool
     notes: tuple[str, ...]
 
@@ -680,7 +679,7 @@ class RSingularityReport:
     status: str
     reasons: tuple[str, ...]
     faithful: bool
-    pseudoreflections: tuple[GroupElement, ...]
+    pseudoreflections: tuple[tuple[int, ...], ...]
     neutrality: NeutralityReport
     notes: tuple[str, ...]
 
@@ -713,7 +712,7 @@ def r_singularity_report(
         status = STATUS_INAPPLICABLE
         reasons = ("the representation is not faithful",)
     elif refs:
-        listed = ", ".join(str(list(g.coords)) for g in refs)
+        listed = ", ".join(str(list(g)) for g in refs)
         status = STATUS_INAPPLICABLE
         reasons = (
             f"the group contains pseudoreflections at {listed}; the "
@@ -802,7 +801,7 @@ def report_to_dict(report: NeutralityReport) -> dict:
         "dim": rep.dim,
         "overall": report.overall,
         "faithful": report.faithful,
-        "pseudoreflections": [list(g.coords) for g in report.pseudoreflections],
+        "pseudoreflections": [list(g) for g in report.pseudoreflections],
         "factorial_shortcut": report.factorial_shortcut,
         "primes": [verdict_to_dict(v) for v in report.verdicts],
         "notes": list(report.notes),
@@ -835,7 +834,8 @@ def report_from_dict(doc) -> NeutralityReport:
             f"stored overall {doc['overall']!r} contradicts the per-prime verdicts"
         )
     refs = doc["pseudoreflections"]
-    if not isinstance(refs, list) or not all(map(is_int_list, refs)):
+    d = rep.group.invariant_factors
+    if not isinstance(refs, list) or not all(is_int_list(g) and len(g) == len(d) for g in refs):
         raise InputError('"pseudoreflections" must be a list of coordinate lists')
     for key in ("faithful", "factorial_shortcut"):
         if not isinstance(doc[key], bool):
@@ -847,9 +847,7 @@ def report_from_dict(doc) -> NeutralityReport:
         verdicts=verdicts,
         overall=doc["overall"],
         faithful=doc["faithful"],
-        pseudoreflections=tuple(
-            GroupElement(tuple(coords), rep.group) for coords in refs
-        ),
+        pseudoreflections=tuple(tuple(a % di for a, di in zip(g, d)) for g in refs),
         factorial_shortcut=doc["factorial_shortcut"],
         notes=tuple(doc["notes"]),
     )

@@ -129,55 +129,13 @@ def is_faithful(V: Representation) -> bool:
     return generates(list(V.support), V.group)
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    """A point of the diagonalizable group: an element of the dual of the
-    character group, as a reduced coordinate tuple."""
-
-    coords: tuple[int, ...]
-    group: FiniteAbelianGroup  # the character group being paired against
-
-    def __post_init__(self):
-        d = self.group.invariant_factors
-        if len(self.coords) != len(d):
-            raise ValueError("coordinate length does not match the group rank")
-        object.__setattr__(
-            self, "coords", tuple(int(g) % di for g, di in zip(self.coords, d))
-        )
-
-    @property
-    def is_identity(self) -> bool:
-        return not any(self.coords)
-
-
-def pairing(chi: Character, g: GroupElement) -> int:
-    """The evaluation pairing, valued in Z/exponent.
-
-    Scaling each term by exponent/d_i realizes the root-of-unity pairing
-    exactly in integer arithmetic; it is bi-additive and vanishes against
-    the identity.
-    """
-    if chi.group != g.group:
-        raise ValueError("character and group element do not match")
-    e = chi.group.exponent
-    total = sum(
-        a * gi * (e // d)
-        for a, gi, d in zip(chi.coords, g.coords, chi.group.invariant_factors)
-    )
-    return total % e
-
-
-def group_elements(group: FiniteAbelianGroup):
-    """All points of the dual group in lexicographic order."""
-    for coords in itertools.product(*(range(d) for d in group.invariant_factors)):
-        yield GroupElement(coords, group)
-
-
-def pseudoreflections(V: Representation) -> list[GroupElement]:
-    """All non-identity group elements acting nontrivially on exactly a
-    1-dimensional eigenspace (fixed subspace of codimension 1).  Points are
-    scanned as tuples against the support scaled by exponent/d_i, and a point
-    is dropped once it moves more than one dimension.
+def pseudoreflections(V: Representation) -> list[tuple[int, ...]]:
+    """All non-identity points of the group acting nontrivially on exactly a
+    1-dimensional eigenspace (fixed subspace of codimension 1), as reduced
+    coordinate tuples in lexicographic order.  A point g moves the eigenspace
+    of a character a when sum_i a_i g_i (e/d_i) is nonzero mod the exponent
+    e, the root-of-unity pairing in integers; the support is scaled by e/d_i
+    once, and a point is dropped once it moves more than one dimension.
 
     The combinatorial computation is unconditional; interpreting the result
     as geometric pseudoreflections assumes the group order is invertible in
@@ -196,7 +154,7 @@ def pseudoreflections(V: Representation) -> list[GroupElement]:
                 if moved > 1:
                     break
         if moved == 1:
-            out.append(GroupElement(g, V.group))
+            out.append(g)
     return out
 
 
@@ -311,5 +269,7 @@ def group_from_input(fragment) -> FiniteAbelianGroup:
         rel = fragment["relations"]
         if not isinstance(rel, list) or not all(map(is_int_list, rel)):
             raise InputError('"relations" must be a list of integer lists')
+        if len(set(map(len, rel))) > 1:
+            raise InputError('"relations" rows must all have the same length')
         return FiniteAbelianGroup.from_relations(rel)
     raise InputError(f"unknown group presentation keys: {sorted(fragment)}")

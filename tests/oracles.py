@@ -55,6 +55,14 @@ def all_coord_tuples(factors):
     return list(itertools.product(*(range(d) for d in factors)))
 
 
+def pairing(chi, g, factors):
+    """The pairing of a character with a point of the dual group, both as
+    coordinate tuples, valued in Z/exponent: term i is scaled by
+    exponent/d_i, which realizes the root-of-unity pairing in integers."""
+    e = factors[-1] if factors else 1
+    return sum(a * x * (e // d) for a, x, d in zip(chi, g, factors)) % e
+
+
 @functools.lru_cache(maxsize=None)
 def coord_index(factors):
     """The lexicographic position of each coordinate tuple, keyed in that

@@ -13,14 +13,12 @@ from neutralrep.abelian import (
     prime_factorization,
     primary_projection,
     rank_mod_p,
-    restriction_faithful_on_primary,
     smith_normal_form,
 )
 from neutralrep.errors import (
     BadCoordinateLengthError,
     InfiniteGroupError,
     InvalidInvariantFactorsError,
-    NonCyclicPrimaryPartError,
 )
 
 
@@ -123,29 +121,9 @@ def test_character_reduction_and_arithmetic():
     assert (-chi).coords == (1,)
     assert (3 * chi).coords == (1,)
     assert chi.order == 4 and g.character((2,)).order == 2
-    assert g.zero().is_zero
+    assert g.zero().coords == (0,)
     with pytest.raises(BadCoordinateLengthError):
         g.character((1, 2))
-
-
-def test_cyclic_factor_presentation():
-    pres = FiniteAbelianGroup.from_cyclic_factors([4, 3])
-    assert pres.group.invariant_factors == (12,)
-    chi = pres.character((1, 2))
-    assert primary_projection(chi, 3).coords == (2,)  # coordinate split
-    assert primary_projection(chi, 2).coords == (1,)
-    assert FiniteAbelianGroup.from_cyclic_factors([12, 2]).group.invariant_factors == (2, 12)
-    assert FiniteAbelianGroup.from_cyclic_factors([1, 1]).group.is_trivial
-    assert FiniteAbelianGroup.from_cyclic_factors([6]).group.invariant_factors == (6,)
-    # the conversion is an isomorphism: orders match elementwise
-    pres = FiniteAbelianGroup.from_cyclic_factors([2, 6])
-    import itertools
-    images = set()
-    for a in range(2):
-        for b in range(6):
-            chi = pres.character((a, b))
-            images.add(chi.coords)
-    assert len(images) == 12
 
 
 def test_primary_projection_examples():
@@ -264,21 +242,8 @@ def test_subgroup_membership_matches_closure():
             H = group.subgroup(gens)
             closure = oracles.closure_bruteforce(factors, [g.coords for g in gens])
             assert H.order == len(closure)
-            assert [c.coords for c in H.elements()] == sorted(closure)
             for coords in tuples:
                 assert H.contains(group.character(coords)) == (coords in closure)
-
-
-def test_restriction_faithful_on_primary():
-    g4 = FiniteAbelianGroup((4,))
-    assert restriction_faithful_on_primary(g4.character((1,)), 2)
-    assert not restriction_faithful_on_primary(g4.character((2,)), 2)
-    g6 = FiniteAbelianGroup((6,))
-    assert not restriction_faithful_on_primary(g6.character((3,)), 3)
-    with pytest.raises(NonCyclicPrimaryPartError):
-        restriction_faithful_on_primary(FiniteAbelianGroup((3, 3)).character((1, 1)), 3)
-    # trivial primary part: vacuously faithful
-    assert restriction_faithful_on_primary(g6.character((1,)), 5)
 
 
 def test_primary_part_structure():

@@ -130,9 +130,14 @@ def test_bools_in_group_documents_are_refused(tmp_path, capsys, group, field):
 def test_bools_in_stored_pseudoreflections_are_refused(c4_file, capsys):
     assert main(["check", c4_file, "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    doc["pseudoreflections"] = [[True]]
-    with pytest.raises(InputError, match='"pseudoreflections" must be a list'):
-        report_from_json(json.dumps(doc))
+    # a bool is not an integer, and a point of Z/4 has exactly one coordinate
+    for refs in ([[True]], [[1, 2]], [[]]):
+        doc["pseudoreflections"] = refs
+        with pytest.raises(InputError, match='"pseudoreflections" must be a list'):
+            report_from_json(json.dumps(doc))
+    # stored coordinates are reduced
+    doc["pseudoreflections"] = [[6]]
+    assert report_from_json(json.dumps(doc)).pseudoreflections == ((2,),)
 
 
 def test_loosely_typed_stored_reports_are_refused():
@@ -207,6 +212,32 @@ def test_repeated_main_calls_share_one_parser(c4_file, monkeypatch, capsys):
             texts.append(capsys.readouterr().out)
         assert texts[0] == texts[1] and "usage: neutralrep" in texts[0]
     assert built == []
+
+
+UNREADABLE_DOCUMENTS = {
+    "not-utf8": b'{"group": \xff}',
+    "nested-too-deep": b"[" * 200_000 + b"]" * 200_000,
+    "integer-too-long": b'{"group": {"invariant_factors": [' + b"1" * 5000 + b"]}}",
+}
+
+
+@pytest.mark.parametrize("content", UNREADABLE_DOCUMENTS.values(), ids=list(UNREADABLE_DOCUMENTS))
+def test_unreadable_documents_exit_2(c4_file, tmp_path, capsys, content):
+    # each is an input error in either file argument, not a crash
+    bad = str(tmp_path / "bad.json")
+    with open(bad, "wb") as handle:
+        handle.write(content)
+    for argv in (["check", bad], ["blend", bad], ["verify", bad, c4_file], ["verify", c4_file, bad]):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith(f"error: {bad}: "), argv
+
+
+def test_ragged_relation_matrix_exits_2(c4_file, tmp_path, capsys):
+    doc = tmp_path / "ragged.json"
+    doc.write_text(json.dumps({**C4_DOC, "group": {"relations": [[2, 0], [0]]}}))
+    for argv in (["check", str(doc)], ["blend", str(doc)], ["verify", str(doc), c4_file]):
+        assert main(argv) == 2, argv
+        assert "rows must all have the same length" in capsys.readouterr().err
 
 
 def test_blend_output(tmp_path, capsys):

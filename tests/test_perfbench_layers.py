@@ -1,16 +1,22 @@
-"""The benchmark's traced layers name functions and methods that exist.
+"""The benchmark's traced layers, and the package names it reads, exist.
 
 ``perfbench/spans.py`` wraps each layer by module and name when a traced run
 starts, so a renamed function would only show up as a crash of
-``perfbench/run.py --trace 1``.  The file is read, not imported, so the
-benchmark directory is left as it is.
+``perfbench/run.py --trace 1``.  Likewise a name dropped from the package's
+exports would only show up as a crash of the benchmark's workloads.  The
+files are read, not imported, so the benchmark directory is left as it is.
 """
 
+import ast
 import importlib
 import types
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+import neutralrep
+import neutralrep.cli  # the benchmark imports it, which binds neutralrep.cli
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SPANS = PERFBENCH / "spans.py"
 
 
 def load_spans():
@@ -33,3 +39,21 @@ def test_traced_layers_resolve_in_neutralrep():
         assert callable(getattr(cls, method, None)), (module_name, cls_name, method)
         names.add(f"{module_name}.{method}")
     assert set(spans.REPORTED) <= names
+
+
+def test_package_names_the_benchmark_reads_exist():
+    # perfbench/child.py imports the package as ``nr`` and hands it to
+    # perfbench/workloads.py, which reads ``nr.<name>`` throughout
+    names = set()
+    for filename in ("workloads.py", "child.py"):
+        tree = ast.parse((PERFBENCH / filename).read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "nr"
+            ):
+                names.add(node.attr)
+    assert {"neutrality_report", "blended_decomposition", "verify_certificate"} <= names
+    missing = sorted(name for name in names if not hasattr(neutralrep, name))
+    assert missing == []
