@@ -1,8 +1,10 @@
 """Arithmetic of finite abelian groups presented as character groups.
 
 A group is stored canonically by its invariant factors d_1 | d_2 | ... | d_k
-(all >= 2; the empty list is the trivial group).  Elements -- "characters",
-written additively -- are reduced coordinate tuples.  On top of that the
+(all >= 2; the empty list is the trivial group).  Elements -- "characters"
+-- are reduced coordinate tuples, and the library computes on those tuples:
+a :class:`Character` pairs a tuple with its group only where a character
+is read in or handed out, and it has no arithmetic.  On top of that the
 module provides Smith normal form over the integers, construction from
 relation matrices, primary parts and mod-p reductions, and subgroup
 generation / membership tests.
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -317,20 +319,15 @@ def _primary_part(group: FiniteAbelianGroup, p: int) -> "PrimaryPart":
         if e:
             indices.append(i)
             powers.append(p**e)
-    return PrimaryPart(
-        prime=p,
-        group=FiniteAbelianGroup(tuple(powers)),
-        parent=group,
-        indices=tuple(indices),
-    )
+    return PrimaryPart(FiniteAbelianGroup(tuple(powers)), tuple(indices))
 
 
 @dataclass(frozen=True)
 class Character:
     """An element of a character group, stored as a reduced coordinate tuple.
 
-    Arithmetic reduces eagerly, so two equal characters always carry
-    identical coordinates.
+    The coordinates are reduced on construction, so two equal characters
+    always carry identical coordinates.
     """
 
     coords: tuple[int, ...]
@@ -346,28 +343,6 @@ class Character:
         object.__setattr__(
             self, "coords", tuple(int(a) % di for a, di in zip(self.coords, d))
         )
-
-    def __add__(self, other: "Character") -> "Character":
-        if not isinstance(other, Character):
-            return NotImplemented
-        if other.group != self.group:
-            raise ValueError("characters belong to different groups")
-        return Character(
-            tuple(a + b for a, b in zip(self.coords, other.coords)), self.group
-        )
-
-    def __neg__(self) -> "Character":
-        return Character(tuple(-a for a in self.coords), self.group)
-
-    def __sub__(self, other: "Character") -> "Character":
-        return self + (-other)
-
-    def __mul__(self, n: int) -> "Character":
-        if not isinstance(n, int):
-            return NotImplemented
-        return Character(tuple(n * a for a in self.coords), self.group)
-
-    __rmul__ = __mul__
 
     @property
     def order(self) -> int:
@@ -387,9 +362,7 @@ class PrimaryPart:
     ``indices[s]``.
     """
 
-    prime: int
     group: FiniteAbelianGroup
-    parent: FiniteAbelianGroup
     indices: tuple[int, ...]
 
 
@@ -398,19 +371,17 @@ class PrimaryPart:
 # ---------------------------------------------------------------------------
 
 
-def primary_projection(chi: Character, p: int) -> Character:
-    """The image of a character under the restriction to the p-primary part.
+def primary_projection(chi: Character, p: int) -> tuple[int, ...]:
+    """The coordinates of the image of a character under the restriction to
+    the p-primary part, as ``mod_p_image`` gives those of its image mod p.
 
     Concretely, in a coordinate with invariant factor p^e * m (p not dividing
     m) the image coordinate is the mod-p^e reduction; this equals eps * a
     mod p^e for the CRT idempotent eps = 1 mod p^e, 0 mod m.  When p does not
-    divide the group order the primary part is trivial and the image is zero.
+    divide the group order the primary part is trivial and the image is ().
     """
     pp = chi.group.primary_part(p)
-    coords = tuple(
-        chi.coords[i] % q for i, q in zip(pp.indices, pp.group.invariant_factors)
-    )
-    return pp.group.character(coords)
+    return tuple(chi.coords[i] % q for i, q in zip(pp.indices, pp.group.invariant_factors))
 
 
 def mod_p_image(chi: Character, p: int) -> tuple[int, ...]:
@@ -534,8 +505,3 @@ class Subgroup:
             return 1
         _, diag = self._snf_data
         return self.group.order // math.prod(diag)
-
-
-def character_sum(chars: Iterable[Character], group: FiniteAbelianGroup) -> Character:
-    """Sum of characters (the zero of ``group`` when the iterable is empty)."""
-    return reduce(lambda a, b: a + b, chars, group.zero())

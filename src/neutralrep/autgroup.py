@@ -31,9 +31,10 @@ Closures of generator lists are built one left coset r*H at a time
 columns, so r is evaluated once on the distinct columns of H and each r*h is
 read off by lookups, with no matrix product.  One driver serves
 ``close_group``, the closure that certificate replay filters, and AutV,
-whose backtrack leaves stream into it; beside the closure it returns the
-greedy generating subset.  An :class:`Automorphism` is built only where a
-caller receives one.
+whose backtrack leaves stream into it; it takes generators as row matrices
+and returns, beside the closure, the greedy generating subset as row
+matrices.  An :class:`Automorphism` is built only where a caller receives
+one: the elements ``close_group`` lists and AutV's greedy generators.
 """
 
 from __future__ import annotations
@@ -208,28 +209,29 @@ def close_group(
     if not gens:
         raise ValueError("need at least one automorphism to close over")
     group = gens[0].group
-    columns, _ = _close_columns(group, gens, cap)
+    columns, _ = _close_columns(group, [a.matrix for a in gens], cap)
     return [Automorphism(group, tuple(zip(*cols))) for cols in columns]
 
 
 def _close_columns(
     group: FiniteAbelianGroup,
-    gens: Iterable[Automorphism],
+    gens: Iterable[tuple[tuple[int, ...], ...]],
     cap: int = DEFAULT_CAP,
     extra: Sequence[tuple[int, ...]] = (),
-) -> tuple[list[tuple[tuple[int, ...], ...]], list[Automorphism]]:
+) -> tuple[list[tuple], list[tuple]]:
     """``close_group`` in column form, with no :class:`Automorphism` built:
     each element is the tuple of its columns, the images of the standard
     generators, followed by its images of the ``extra`` points; and the
-    greedy generating subset, the members of the iterable ``gens`` (which
-    may be empty) that lay outside the closure of those before them."""
+    greedy generating subset, the members of the iterable ``gens`` of row
+    matrices (which may be empty) that lay outside the closure of those
+    before them."""
     if cap < 1:
         raise ValueError("cap must be at least 1")
     # the identity matrix is its own column form
     ident = Automorphism.identity(group).matrix + tuple(extra)
     elements, seen, used = [ident], {ident}, []
     for s in gens:
-        _extend_closure(elements, seen, used, s, cap)
+        _extend_closure(elements, seen, used, s, group.invariant_factors, cap)
     return elements, used
 
 
@@ -243,22 +245,22 @@ def _images(
 
 
 def _extend_closure(
-    elements: list[tuple], seen: set, used: list[Automorphism], s: Automorphism, cap: int
+    elements: list[tuple], seen: set, used: list[tuple], s: tuple, d: Sequence[int], cap: int
 ) -> None:
-    """Grow ``elements``, the closure of ``used`` in column form listed
-    identity first, and ``seen``, its set, in place to the closure of
-    ``used + [s]``, appending ``s`` to ``used``; do nothing when ``s`` lies
-    in the closure already.  Every element carries, after its k columns, its
-    images of the points that follow them in the identity.
+    """Grow ``elements``, the closure of the row matrices ``used`` in column
+    form listed identity first, and ``seen``, its set, in place to the
+    closure of ``used + [s]``, appending ``s`` to ``used``; do nothing when
+    ``s`` lies in the closure already.  The group has invariant factors
+    ``d``.  Every element carries, after its k columns, its images of the
+    points that follow them in the identity.
 
     Each left coset r*H of the subgroup H built so far is listed starting
     with r: r is evaluated once on the distinct points among H's elements,
     and r*h, the images of r on the points of h, is looked up from those
     images.  The next representatives t*r are tried for every used
     generator t, by applying t to the points of r."""
-    d = s.group.invariant_factors
     k = len(d)
-    if tuple(zip(*s.matrix)) + tuple(_images(s.matrix, d, elements[0][k:])) in seen:
+    if tuple(zip(*s)) + tuple(_images(s, d, elements[0][k:])) in seen:
         return
     subgroup = elements[:]
     points = list(dict.fromkeys(itertools.chain.from_iterable(subgroup)))
@@ -267,7 +269,7 @@ def _extend_closure(
     while rep < len(elements):
         g = elements[rep]
         for t in used:
-            r = tuple(_images(t.matrix, d, g))
+            r = tuple(_images(t, d, g))
             if r not in seen:
                 if len(elements) + len(subgroup) > cap:
                     raise CapExceededError(cap)
@@ -310,7 +312,8 @@ def aut_v_subgroup(
     bijections that map each support character to one of the same
     multiplicity.  Such a bijection permutes each multiplicity class of the
     support, and the map vanishes off the support, so it preserves the map.
-    The leaves stream into one closure; none is kept.
+    The leaves stream into one closure as row matrices; none is kept, and
+    only the greedy generators become :class:`Automorphism` objects.
 
     The computation lives on the character side.  Transporting to the point
     side is an anti-isomorphism, and since the computed subgroup is closed
@@ -325,13 +328,12 @@ def aut_v_subgroup(
         if m:
             support[chi.coords] = int(m)
     check_aut_order(group, cap)
-    leaves = (Automorphism(group, rows) for rows in _preserving_matrices(group, support))
-    elements, used = _close_columns(group, leaves, cap)
+    elements, used = _close_columns(group, _preserving_matrices(group, support), cap)
     return AutVSubgroup(
         group=group,
         support=tuple(sorted(support.items())),
         order=len(elements),
-        generator_subset=tuple(used),
+        generator_subset=tuple(Automorphism(group, rows) for rows in used),
     )
 
 

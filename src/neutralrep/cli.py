@@ -127,11 +127,18 @@ def _load_json(path):
     UTF-8, nests too deep or holds an integer too long to convert."""
     try:
         with open(path, encoding="utf-8") as handle:
-            return json.load(handle)
+            text = handle.read()
+    except ValueError as exc:  # not UTF-8, or a NUL in the path
+        raise InputError(f"{path}: {exc}") from None
+    try:
+        return json.loads(text)
     except json.JSONDecodeError:
         raise
-    except (ValueError, RecursionError) as exc:
+    except RecursionError as exc:
         raise InputError(f"{path}: {exc}") from None
+    except ValueError:  # json's one other ValueError: an integer past the digit limit
+        limit = sys.get_int_max_str_digits()
+        raise InputError(f"{path}: an integer in the file has more than {limit} digits") from None
 
 
 def _load_representation(path) -> Representation:
@@ -235,7 +242,7 @@ def cmd_blend(args) -> int:
                     "symmetry_order": decomposition.symmetries.order,
                     "orbits": [
                         {
-                            "characters": [list(ch.coords) for ch in comp.characters],
+                            "characters": [list(c) for c in comp.members],
                             "size": comp.size,
                             "multiplicity": comp.multiplicity,
                             "det_character": list(comp.det_character.coords),
@@ -254,7 +261,7 @@ def cmd_blend(args) -> int:
         f"({n_gens} generator{'s' if n_gens != 1 else ''})"
     )
     for i, comp in enumerate(decomposition.components):
-        chars = ", ".join(str(list(ch.coords)) for ch in comp.characters)
+        chars = ", ".join(str(list(c)) for c in comp.members)
         print(
             f"orbit {i}: size {comp.size}, multiplicity {comp.multiplicity}, "
             f"characters [{chars}], det character {list(comp.det_character.coords)}"
@@ -375,20 +382,37 @@ def cmd_search(args) -> int:
     if max_dim < 0:
         raise InputError(f"--max-dim {max_dim} must be nonnegative")
     group = FiniteAbelianGroup((n,))
-    rows = []
+    counts = {"neutral": 0, "unknown": 0}
+    exemplars = {"neutral": None, "unknown": None}
+    rows = []  # printed lines or JSON instances, held so that a capped sweep prints nothing
     for vec in _bounded_vectors(n - 1, max_dim):
         mult = {(i + 1,): m for i, m in enumerate(vec) if m}
         V = Representation.from_multiplicities(group, mult)
         if args.faithful and not is_faithful(V):
             continue
-        rows.append((V, neutrality_report(V, cap)))
-    counts = {"neutral": 0, "unknown": 0}
-    exemplars = {"neutral": None, "unknown": None}
-    for V, report in rows:
+        report = neutrality_report(V, cap)
         key = "neutral" if report.overall == OVERALL_NEUTRAL else "unknown"
         counts[key] += 1
         if exemplars[key] is None:
-            exemplars[key] = V
+            exemplars[key] = _format_multiplicities(V)
+        strategies = [
+            (v.prime, v.certificate.strategy if v.certified else None) for v in report.verdicts
+        ]
+        if args.json:
+            rows.append(
+                {
+                    "multiplicities": [[list(chi.coords), m] for chi, m in V.entries],
+                    "dim": V.dim,
+                    "overall": report.overall,
+                    "primes": [{"prime": q, "strategy": s} for q, s in strategies],
+                }
+            )
+        else:
+            listed = ", ".join(f"p={q}: {s or 'unknown'}" for q, s in strategies)
+            rows.append(
+                f"  {_format_multiplicities(V)}  dim {V.dim}  {key.upper()}"
+                + (f"  [{listed}]" if listed else "")
+            )
     if args.json:
         print(
             _dumps(
@@ -398,46 +422,20 @@ def cmd_search(args) -> int:
                     "faithful_only": bool(args.faithful),
                     "total": len(rows),
                     "counts": counts,
-                    "instances": [
-                        {
-                            "multiplicities": [
-                                [list(chi.coords), m] for chi, m in V.entries
-                            ],
-                            "dim": V.dim,
-                            "overall": report.overall,
-                            "primes": [
-                                {
-                                    "prime": v.prime,
-                                    "strategy": v.certificate.strategy
-                                    if v.certified
-                                    else None,
-                                }
-                                for v in report.verdicts
-                            ],
-                        }
-                        for V, report in rows
-                    ],
+                    "instances": rows,
                 }
             )
         )
         return 0
     scope = "faithful multiplicity maps" if args.faithful else "multiplicity maps"
     print(f"search: Z/{n}, {scope} supported on nonzero characters, total dim <= {max_dim}")
-    for V, report in rows:
-        strategies = ", ".join(
-            f"p={v.prime}: {v.certificate.strategy if v.certified else 'unknown'}"
-            for v in report.verdicts
-        )
-        overall = "NEUTRAL" if report.overall == OVERALL_NEUTRAL else "UNKNOWN"
-        print(
-            f"  {_format_multiplicities(V)}  dim {V.dim}  {overall}"
-            + (f"  [{strategies}]" if strategies else "")
-        )
+    for line in rows:
+        print(line)
     print(
         f"counts: neutral {counts['neutral']}, unknown {counts['unknown']} "
         f"(total {len(rows)})"
     )
     for key in ("neutral", "unknown"):
         if exemplars[key] is not None:
-            print(f"exemplar {key}: {_format_multiplicities(exemplars[key])}")
+            print(f"exemplar {key}: {exemplars[key]}")
     return 0

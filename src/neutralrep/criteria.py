@@ -37,8 +37,6 @@ from .abelian import (
     Character,
     FiniteAbelianGroup,
     Subgroup,
-    character_sum,
-    generates,
     is_prime,
     mod_p_image,
     primary_projection,
@@ -174,18 +172,17 @@ def _mu_p_vanishing_set(group: FiniteAbelianGroup, p: int) -> Subgroup:
 def check_large_prime(V: Representation, p: int) -> PrimeVerdict:
     """Certified iff p > dim V and the support characters restrict onto a
     generating set of the p-primary character group (i.e. the action of the
-    p-Sylow subgroup is faithful)."""
+    p-Sylow subgroup is faithful).  As in ``check_lines_generators``,
+    generation is decided by the rank of the mod-p images."""
     group = V.group
     _require_prime_divisor(group, p)
     if p <= V.dim:
         return PrimeVerdict(p, None, (f"LargePrime: p = {p} <= dim V = {V.dim}",))
-    pp = group.primary_part(p)
-    projections = [primary_projection(chi, p) for chi in V.support]
-    if generates(projections, pp.group):
+    if rank_mod_p([mod_p_image(chi, p) for chi in V.support], p) == group.p_rank(p):
         witness = {
             "dim": V.dim,
             "support": [list(chi.coords) for chi in V.support],
-            "restrictions": [list(pr.coords) for pr in projections],
+            "restrictions": [list(primary_projection(chi, p)) for chi in V.support],
         }
         return PrimeVerdict(p, Certificate(p, STRATEGY_LARGE_PRIME, witness))
     return PrimeVerdict(
@@ -496,11 +493,11 @@ def _verify_easy_cyclic(V: Representation, p: int, witness: dict) -> bool:
     return (dim - fixed) % p != 0
 
 
-def _closure_generates(group: FiniteAbelianGroup, chars: Sequence[Character]) -> bool:
-    """Explicit breadth-first closure, bounded by the group order."""
+def _closure_generates(group: FiniteAbelianGroup, gens: Sequence[tuple[int, ...]]) -> bool:
+    """Explicit breadth-first closure of coordinate tuples, bounded by the
+    group order."""
     d = group.invariant_factors
     zero = (0,) * len(d)
-    gens = [chi.coords for chi in chars]
     seen = {zero}
     frontier = [zero]
     while frontier:
@@ -524,7 +521,7 @@ def _verify_large_prime(V: Representation, p: int, witness: dict) -> bool:
     if witness["support"] != [list(chi.coords) for chi in V.support]:
         return False
     projections = [primary_projection(chi, p) for chi in V.support]
-    if witness["restrictions"] != [list(pr.coords) for pr in projections]:
+    if witness["restrictions"] != list(map(list, projections)):
         return False
     return _closure_generates(group.primary_part(p).group, projections)
 
@@ -540,7 +537,8 @@ def _recomputed_preserving_elements(V: Representation) -> list[Automorphism]:
     mult = {chi.coords: m for chi, m in V.entries}
     wanted = tuple(mult.values())
     elements = []
-    closure, _ = _close_columns(group, aut_generators(group), DEFAULT_CAP, tuple(mult))
+    gens = [a.matrix for a in aut_generators(group)]
+    closure, _ = _close_columns(group, gens, DEFAULT_CAP, tuple(mult))
     for images in closure:
         if tuple(map(mult.get, images[k:])) == wanted:
             elements.append(Automorphism(group, tuple(zip(*images[:k]))))
@@ -548,11 +546,12 @@ def _recomputed_preserving_elements(V: Representation) -> list[Automorphism]:
     return elements
 
 
-def _orbit(elements: Sequence[Automorphism], chi: Character) -> list[Character]:
-    """The orbit of ``chi`` under ``elements``, which form a group: its
-    images, one matrix-vector product per element."""
-    group = chi.group
-    return [group.character(c) for c in {a.apply_coords(chi.coords) for a in elements}]
+def _orbit(elements: Sequence[Automorphism], chi: Character) -> tuple[set, Character]:
+    """The orbit of ``chi`` under ``elements``, which form a group, as the
+    set of its images' coordinates, one matrix-vector product per element;
+    and the orbit sum, from the coordinate column sums."""
+    orbit = {a.apply_coords(chi.coords) for a in elements}
+    return orbit, chi.group.character([sum(column) for column in zip(*orbit)])
 
 
 def _verify_cyclic_general(V: Representation, p: int, witness: dict) -> bool:
@@ -585,15 +584,14 @@ def _verify_cyclic_general(V: Representation, p: int, witness: dict) -> bool:
     m = V.multiplicity(chi)
     if witness["multiplicity"] != m or m == 0 or m % p == 0:
         return False
-    elements = _recomputed_preserving_elements(V)
-    orbit = _orbit(elements, chi)
+    orbit, orbit_sum = _orbit(_recomputed_preserving_elements(V), chi)
     if witness["orbit_size"] != len(orbit):
         return False
     proj = primary_projection(chi, p)
-    if witness["restriction"] != list(proj.coords):
+    if witness["restriction"] != list(proj):
         return False
-    orbit_sum_proj = primary_projection(character_sum(orbit, group), p)
-    if witness["orbit_sum_restriction"] != list(orbit_sum_proj.coords):
+    orbit_sum_proj = primary_projection(orbit_sum, p)
+    if witness["orbit_sum_restriction"] != list(orbit_sum_proj):
         return False
     pp_group = group.primary_part(p).group
     if witness["branch"] == "b":
@@ -629,10 +627,10 @@ def _verify_lines_generators(V: Representation, p: int, witness: dict) -> bool:
     for a in elements:
         if not _fixes_every_line(induced_mod_p_matrix(a, p), p):
             return False
-    _, subset = _close_columns(group, elements, DEFAULT_CAP)
+    _, subset = _close_columns(group, [a.matrix for a in elements], DEFAULT_CAP)
     recomputed_scalars = []
-    for a in subset:
-        induced = induced_mod_p_matrix(a, p)
+    for rows in subset:
+        induced = induced_mod_p_matrix(Automorphism(group, rows), p)
         recomputed_scalars.append(
             {"induced_matrix": induced, "scalar": induced[0][0] % p if induced else 1}
         )
@@ -644,8 +642,7 @@ def _verify_lines_generators(V: Representation, p: int, witness: dict) -> bool:
     for chi, m in V.entries:
         if m % p == 0:
             continue
-        orbit = _orbit(elements, chi)
-        orbit_sum = character_sum(orbit, group)
+        orbit, orbit_sum = _orbit(elements, chi)
         if any(mod_p_image(orbit_sum, p)):
             tag = "a"
         elif len(orbit) % p != 0:

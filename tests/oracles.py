@@ -263,3 +263,50 @@ def random_invertible_matrix(rng, r, p):
         M = [[rng.randrange(p) for _ in range(r)] for _ in range(r)]
         if det(M) % p:
             return M
+
+
+def sum_tuples(tuples, factors):
+    """The coordinate sum of a collection of tuples, reduced mod each d_i."""
+    total = (0,) * len(factors)
+    for x in tuples:
+        total = add_tuples(total, x, factors)
+    return total
+
+
+def primary_restriction(coords, factors, p):
+    """The image of a character under restriction to the p-primary part:
+    eps * a mod p^e at each coordinate whose invariant factor p divides,
+    with eps the CRT idempotent of ``crt_idempotent``."""
+    out = []
+    for a, d in zip(coords, factors):
+        if d % p == 0:
+            eps, pe = crt_idempotent(d, p)
+            out.append(eps * a % pe)
+    return tuple(out)
+
+
+def preserving_matrices(factors, mult):
+    """The bijective endomorphism matrices, as tuples of row tuples in
+    lexicographic order, that map each character of the support of ``mult``
+    (coordinate tuple -> multiplicity) to one of the same multiplicity."""
+    coords = all_coord_tuples(factors)
+    out = []
+    for M in valid_endomorphism_matrices(factors):
+        if len({apply_matrix(M, c, factors) for c in coords}) != len(coords):
+            continue
+        if all(mult.get(apply_matrix(M, c, factors)) == m for c, m in mult.items()):
+            out.append(tuple(map(tuple, M)))
+    return sorted(out)
+
+
+def greedy_generators(matrices, factors):
+    """Each matrix, in the given order, whose permutation lies outside the
+    group generated by the permutations of those picked before it."""
+    n = len(all_coord_tuples(factors))
+    picked, covered = [], perm_closure([], n)
+    for M in matrices:
+        perm = perm_of(M, factors)
+        if perm not in covered:
+            picked.append(M)
+            covered = perm_closure([perm_of(P, factors) for P in picked], n)
+    return picked

@@ -57,3 +57,21 @@ def test_package_names_the_benchmark_reads_exist():
     assert {"neutrality_report", "blended_decomposition", "verify_certificate"} <= names
     missing = sorted(name for name in names if not hasattr(neutralrep, name))
     assert missing == []
+
+
+def test_blend_attributes_the_benchmark_reads_exist():
+    # perfbench/workloads.py's _blend_summary reads these off each blend:
+    # symmetries.order, and per orbit characters[*].coords, multiplicity and
+    # det_character.coords
+    group = neutralrep.FiniteAbelianGroup((2, 4))
+    V = neutralrep.Representation.from_multiplicities(group, {(1, 1): 1, (0, 1): 1, (0, 2): 2})
+    decomposition = neutralrep.blended_decomposition(V)
+    assert decomposition.symmetries.order == 2
+    # (a, b) -> (a + b, b) swaps (0, 1) with (1, 1) and (0, 3) with (1, 3)
+    assert [comp.size for comp in decomposition.components] == [1, 2, 1, 2, 1, 1]
+    for comp in decomposition.components:
+        assert [ch.coords for ch in comp.characters] == list(comp.members)
+        assert comp.multiplicity == V.multiplicity(comp.characters[0])
+        total = [sum(column) for column in zip(*comp.members)]
+        expected = [comp.multiplicity * a % d for a, d in zip(total, group.invariant_factors)]
+        assert list(comp.det_character.coords) == expected
