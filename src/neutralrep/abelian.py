@@ -263,7 +263,13 @@ class FiniteAbelianGroup:
     # -- elements ------------------------------------------------------------
 
     def zero(self) -> "Character":
-        return Character((0,) * self.rank, self)
+        """The zero character, one object shared by equal groups (a
+        ``Character`` is frozen) and kept on this one after its first use."""
+        return self._zero
+
+    @cached_property
+    def _zero(self) -> "Character":
+        return _shared_zero(self)
 
     def character(self, coords: Sequence[int]) -> "Character":
         return Character(tuple(coords), self)
@@ -320,6 +326,11 @@ def _primary_part(group: FiniteAbelianGroup, p: int) -> "PrimaryPart":
             indices.append(i)
             powers.append(p**e)
     return PrimaryPart(FiniteAbelianGroup(tuple(powers)), tuple(indices))
+
+
+@lru_cache(maxsize=256)
+def _shared_zero(group: FiniteAbelianGroup) -> "Character":
+    return Character((0,) * group.rank, group)
 
 
 @dataclass(frozen=True)

@@ -21,10 +21,11 @@ cap refuses the search before it starts.  The subgroup keeps the support
 alone, never a table over all |G| characters.
 
 Orbits come from one walk that applies the subgroup's generator matrices to
-coordinate tuples.  The subgroup maps the support onto itself, so the orbits
-the criteria read, those of support characters, are walked from the support
-alone (``support_orbits``); only the blended decomposition walks all |G|
-characters (``orbit_partition``).
+coordinate tuples and sums each orbit as it closes it, so an :class:`Orbit`
+carries its sum as a plain field.  The subgroup maps the support onto
+itself, so the orbits the criteria read, those of support characters, are
+walked from the support alone (``support_orbits``); only the blended
+decomposition walks all |G| characters (``orbit_partition``).
 
 Closures of generator lists are built one left coset r*H at a time
 (Dimino's algorithm), on column form: an element is the tuple of its
@@ -391,14 +392,16 @@ def _preserving_matrices(
 @dataclass(frozen=True)
 class Orbit:
     """One orbit of characters, held as its members' coordinate tuples in
-    lexicographic order, with their common eigenspace multiplicity d.
-    ``characters``, ``sum_coords`` (the coordinates of the orbit sum) and
-    ``det_character`` (d times the orbit sum, the determinant of the
-    orbit's eigenspaces) are built from the members on first use."""
+    lexicographic order, with their common eigenspace multiplicity d and
+    ``sum_coords``, the coordinates of the orbit sum, which the walk that
+    found the orbit computed.  ``characters`` and ``det_character`` (d
+    times the orbit sum, the determinant of the orbit's eigenspaces) are
+    built from these on first use."""
 
     group: FiniteAbelianGroup
     members: tuple[tuple[int, ...], ...]
     multiplicity: int
+    sum_coords: tuple[int, ...]
 
     @property
     def size(self) -> int:
@@ -409,24 +412,25 @@ class Orbit:
         return tuple(Character(c, self.group) for c in self.members)
 
     @cached_property
-    def sum_coords(self) -> tuple[int, ...]:
-        columns = zip(*self.members)
-        return tuple(sum(c) % d for c, d in zip(columns, self.group.invariant_factors))
-
-    @cached_property
     def det_character(self) -> Character:
-        """Zero without a sum when d = 0."""
+        """The group's shared zero when d = 0, with no product taken."""
         if not self.multiplicity:
             return self.group.zero()
         return self.group.character([self.multiplicity * a for a in self.sum_coords])
 
 
 def _orbits(subgroup: AutVSubgroup, starts: Iterable[tuple[int, ...]]) -> list[Orbit]:
-    """The orbit of each start point under the subgroup, found by applying
-    its generator matrices to coordinates, each orbit once and in the order
-    of the first start that reaches it.  Raises ``ValueError`` when the
-    multiplicity is not constant on an orbit."""
-    group, mult, gens = subgroup.group, dict(subgroup.support), subgroup.generator_subset
+    """The orbit of each start point under the subgroup, each orbit once and
+    in the order of the first start that reaches it, with its sum.
+
+    The walk applies the generators' row matrices to coordinate tuples, one
+    matrix-vector product per member and generator, as ``_images`` does.  A
+    closed orbit is sorted and its columns summed; a singleton orbit is its
+    own sum.  Raises ``ValueError`` when the multiplicity is not constant on
+    an orbit."""
+    group, mult = subgroup.group, dict(subgroup.support)
+    d = group.invariant_factors
+    gens = [list(zip(a.matrix, d)) for a in subgroup.generator_subset]
     seen: set[tuple[int, ...]] = set()
     out = []
     for start in starts:
@@ -436,8 +440,8 @@ def _orbits(subgroup: AutVSubgroup, starts: Iterable[tuple[int, ...]]) -> list[O
         m = mult.get(start, 0)
         members = [start]
         for x in members:  # breadth first: the loop reaches what it appends
-            for a in gens:
-                y = a.apply_coords(x)
+            for rd in gens:
+                y = tuple([sum(map(mul, row, x)) % di for row, di in rd])
                 if y not in seen:
                     if mult.get(y, 0) != m:
                         raise ValueError(
@@ -446,8 +450,12 @@ def _orbits(subgroup: AutVSubgroup, starts: Iterable[tuple[int, ...]]) -> list[O
                         )
                     seen.add(y)
                     members.append(y)
-        members.sort()
-        out.append(Orbit(group, tuple(members), m))
+        if len(members) == 1:
+            total = start
+        else:
+            members.sort()
+            total = tuple([sum(c) % di for c, di in zip(zip(*members), d)])
+        out.append(Orbit(group, tuple(members), m, total))
     return out
 
 

@@ -451,7 +451,7 @@ def verify_certificate(V: Representation, cert: Certificate) -> bool:
         raise MalformedCertificateError("expected a Certificate")
     group = V.group
     p = cert.prime
-    if not isinstance(p, int) or isinstance(p, bool) or p < 2:
+    if not isinstance(p, int) or p < 2:  # true and false are 1 and 0
         raise MalformedCertificateError(f"certificate prime {p!r} is not a prime")
     if group.order % p:
         raise MalformedCertificateError(
@@ -462,6 +462,10 @@ def verify_certificate(V: Representation, cert: Certificate) -> bool:
     witness = cert.witness
     if not isinstance(witness, dict):
         raise MalformedCertificateError("certificate witness must be an object")
+    if not _integral(witness):
+        raise MalformedCertificateError(
+            "witness numbers must be integers, not true, false or floats"
+        )
     if cert.strategy == STRATEGY_EASY_CYCLIC:
         return _verify_easy_cyclic(V, p, witness)
     if cert.strategy == STRATEGY_LARGE_PRIME:
@@ -471,6 +475,22 @@ def verify_certificate(V: Representation, cert: Certificate) -> bool:
     if cert.strategy == STRATEGY_LINES_AND_GENERATORS:
         return _verify_lines_generators(V, p, witness)
     raise MalformedCertificateError(f"unknown strategy {cert.strategy!r}")
+
+
+def _integral(value) -> bool:
+    """False when a bool or a float occurs anywhere in the witness value.
+    No field that a checker emits holds one, and ``==`` would take true for
+    1 and 1.0 for 1."""
+    if isinstance(value, (bool, float)):
+        return False
+    if isinstance(value, dict):
+        value = value.values()
+    elif not isinstance(value, list):
+        return True
+    for x in value:
+        if type(x) is not int and not _integral(x):
+            return False
+    return True
 
 
 def _need_keys(witness: dict, keys: set[str]) -> None:
@@ -575,14 +595,14 @@ def _verify_cyclic_general(V: Representation, p: int, witness: dict) -> bool:
     if (
         not isinstance(coords, list)
         or len(coords) != group.rank
-        or not all(isinstance(a, int) and not isinstance(a, bool) for a in coords)
+        or not all(isinstance(a, int) for a in coords)
     ):
         raise MalformedCertificateError("witness character has the wrong shape")
     if witness["branch"] not in ("a", "b"):
         raise MalformedCertificateError(f"unknown branch {witness['branch']!r}")
     chi = group.character(coords)
     m = V.multiplicity(chi)
-    if witness["multiplicity"] != m or m == 0 or m % p == 0:
+    if witness["multiplicity"] != m or m % p == 0:  # m = 0 included
         return False
     orbit, orbit_sum = _orbit(_recomputed_preserving_elements(V), chi)
     if witness["orbit_size"] != len(orbit):

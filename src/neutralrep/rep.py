@@ -191,8 +191,10 @@ def blended_decomposition(
 
     The subgroup comes from :func:`symmetry_of`, so a report on V before
     the blend leaves nothing to search; the partition of all |G| characters
-    is built here, once per call, and nowhere else.  The determinant
-    characters are built here too; only the support orbits are summed.
+    is walked here, once per call, and nowhere else, and the walk sums each
+    orbit as it closes it.  Every determinant character is built here too,
+    so a caller's reads cost nothing: the group's one shared zero for a
+    multiplicity-0 orbit, d times the orbit sum otherwise.
     """
     symmetries, _ = symmetry_of(V, cap)
     components = orbit_partition(symmetries)

@@ -12,7 +12,7 @@ import oracles
 from neutralrep import autgroup
 from neutralrep import criteria as criteria_module
 from neutralrep import rep as rep_module
-from neutralrep.abelian import FiniteAbelianGroup
+from neutralrep.abelian import Character, FiniteAbelianGroup
 from neutralrep.autgroup import (
     Automorphism,
     _close_columns,
@@ -486,6 +486,73 @@ def test_acts_trivially_matches_literal_element_check():
                     for m in filtered_closure(group, mult)
                 )
                 assert acts_trivially_on_lines(sym, p) == literal, (factors, p)
+
+
+def assert_orbit_data(group, orbits):
+    """Each orbit's sum is the oracle's sum of its members, and its
+    determinant d times that sum, or the group's one zero when d = 0."""
+    factors = group.invariant_factors
+    for orbit in orbits:
+        total = oracles.sum_tuples(orbit.members, factors)
+        assert orbit.sum_coords == total, (factors, orbit.members)
+        d = orbit.multiplicity
+        if d:
+            expected = tuple(d * a % di for a, di in zip(total, factors))
+            assert orbit.det_character.coords == expected, (factors, orbit.members)
+        else:
+            assert orbit.det_character is group.zero()
+
+
+def test_orbit_sums_and_determinants_match_the_oracle():
+    # the criterion-2 sweep (every group of order <= 16 and rank <= 2, every
+    # support of up to 3 characters with multiplicities 1 or 2), then seeded
+    # maps on non-cyclic groups of rank up to 3
+    maps = []
+    for factors in oracles.all_groups(16, max_rank=2):
+        tuples = oracles.all_coord_tuples(factors)
+        for size in range(min(3, len(tuples)) + 1):
+            for support in itertools.combinations(tuples, size):
+                for mults in itertools.product((1, 2), repeat=size):
+                    maps.append((factors, dict(zip(support, mults))))
+    rng = random.Random(18)
+    for factors in [(2, 4), (3, 3), (2, 6), (4, 4), (2, 2, 2), (2, 2, 4), (3, 6)]:
+        tuples = oracles.all_coord_tuples(factors)
+        for _ in range(12):
+            support = rng.sample(tuples, k=rng.randint(1, min(6, len(tuples))))
+            maps.append((factors, {c: rng.randint(1, 3) for c in support}))
+    groups = {}
+    for factors, mult in maps:
+        group = groups.setdefault(factors, FiniteAbelianGroup(factors))
+        sym = aut_v_subgroup(group, {group.character(c): m for c, m in mult.items()})
+        assert_orbit_data(group, orbit_partition(sym))
+        assert_orbit_data(group, support_orbits(sym).values())
+    for factors, group in groups.items():
+        assert group.zero() is group.zero()
+        assert group.zero() == Character((0,) * len(factors), group)
+
+
+def test_support_orbits_build_no_character_and_blend_builds_every_determinant(monkeypatch):
+    group = FiniteAbelianGroup((2, 12))
+    mult = {group.character(c): m for c, m in [((1, 1), 1), ((1, 5), 1), ((0, 3), 2)]}
+    V = Representation.from_multiplicities(group, mult)
+    sym = aut_v_subgroup(group, mult)
+    built = []
+    post_init = Character.__post_init__
+
+    def counted(self):
+        built.append(self.coords)
+        post_init(self)
+
+    monkeypatch.setattr(Character, "__post_init__", counted)
+    orbits = support_orbits(sym)
+    assert [orbit.sum_coords for orbit in orbits.values()] and built == []
+    monkeypatch.setattr(Character, "__post_init__", post_init)
+    decomposition = blended_decomposition(V)
+    monkeypatch.setattr(Character, "__post_init__", counted)
+    dets = [orbit.det_character for orbit in decomposition.components]
+    assert len(dets) == len(decomposition.components) and built == []
+    # the characters of an orbit stay lazy
+    assert not any("characters" in vars(orbit) for orbit in decomposition.components)
 
 
 def test_multiplicity_constant_on_orbits():
