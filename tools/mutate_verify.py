@@ -11,9 +11,8 @@ check it changed.
 
 Run from anywhere:
 
-    python3 tools/mutate_verify.py                 # the verify test subset
-    python3 tools/mutate_verify.py --list          # print the mutants only
-    python3 tools/mutate_verify.py --tests tests   # the whole suite
+    python3 tools/mutate_verify.py          # run every mutant against TESTS
+    python3 tools/mutate_verify.py --list   # print the mutants only
 
 It prints one line per mutant and a summary, and exits 1 when a mutant
 survives (2 when the unmutated copy already fails its tests).
@@ -49,14 +48,17 @@ TARGETS = (
     "_verify_lines_generators",
 )
 
-#: The test files that exercise verify; ``--tests`` replaces them.
-DEFAULT_TESTS = (
+#: The test files that exercise verify.
+TESTS = (
     "tests/test_forged_certificates.py",
     "tests/test_criteria.py",
     "tests/test_replay_property.py",
     "tests/test_cli.py",
     "tests/test_differential.py",
 )
+
+#: Seconds before a mutant's test run is stopped and counted as killed.
+TIMEOUT_S = 300
 
 #: Each comparison's negation, and for an order its boundary shift.
 COMPARE_SWAPS = {
@@ -139,16 +141,16 @@ def mutant_source(source: str, site: tuple) -> tuple[str, str]:
     return ast.unparse(ast.fix_missing_locations(tree)), f"{name}:{key[1]} {label}: {text}"
 
 
-def run_tests(workdir: Path, tests: list[str], timeout: float) -> str:
+def run_tests(workdir: Path) -> str:
     """'pass', 'fail' or 'timeout' for the test run in the copy.  No
     bytecode is cached, since a flipped operator leaves the module's size
     unchanged, and the copy's own ``src`` is the only one on the path."""
     cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-           "-o", "addopts=", *tests]
+           "-o", "addopts=", *TESTS]
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     env["PYTHONDONTWRITEBYTECODE"] = "1"
     try:
-        done = subprocess.run(cmd, cwd=workdir, env=env, capture_output=True, timeout=timeout)
+        done = subprocess.run(cmd, cwd=workdir, env=env, capture_output=True, timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:
         return "timeout"
     return "pass" if done.returncode == 0 else "fail"
@@ -156,10 +158,6 @@ def run_tests(workdir: Path, tests: list[str], timeout: float) -> str:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--tests", nargs="+", default=list(DEFAULT_TESTS),
-                        help="test files or directories, relative to the repository root")
-    parser.add_argument("--timeout", type=float, default=300.0,
-                        help="seconds before a mutant's test run counts as killed")
     parser.add_argument("--list", action="store_true", help="print the mutants and stop")
     args = parser.parse_args(argv)
 
@@ -179,7 +177,7 @@ def main(argv=None) -> int:
         target = work / CRITERIA
         # the unmutated module goes through the same unparse as every mutant
         target.write_text(ast.unparse(ast.parse(source)))
-        if run_tests(work, args.tests, args.timeout) != "pass":
+        if run_tests(work) != "pass":
             print("the unmutated copy fails its tests; no mutant was run")
             return 2
         survivors = []
@@ -187,7 +185,7 @@ def main(argv=None) -> int:
             text, label = mutant_source(source, site)
             target.write_text(text)
             start = time.perf_counter()
-            outcome = run_tests(work, args.tests, args.timeout)
+            outcome = run_tests(work)
             verdict = "SURVIVED" if outcome == "pass" else f"killed ({outcome})"
             print(f"{i:3d} {verdict:17s} {time.perf_counter() - start:6.1f}s  {label}", flush=True)
             if outcome == "pass":
