@@ -30,12 +30,15 @@ decomposition walks all |G| characters (``orbit_partition``).
 Closures of generator lists are built one left coset r*H at a time
 (Dimino's algorithm), on column form: an element is the tuple of its
 columns, so r is evaluated once on the distinct columns of H and each r*h is
-read off by lookups, with no matrix product.  One driver serves
-``close_group``, the closure that certificate replay filters, and AutV,
-whose backtrack leaves stream into it; it takes generators as row matrices
-and returns, beside the closure, the greedy generating subset as row
-matrices.  An :class:`Automorphism` is built only where a caller receives
-one: the elements ``close_group`` lists and AutV's greedy generators.
+picked from those images by index, with no matrix product.  The next
+representatives t*r read each generator t's images of points from a memo
+kept for the whole closure, so a point costs one product per generator.
+One driver serves ``close_group``, the closure that certificate replay
+filters, and AutV, whose backtrack leaves stream into it; it takes
+generators as row matrices and returns, beside the closure, the greedy
+generating subset as row matrices.  An :class:`Automorphism` is built only
+where a caller receives one: the elements ``close_group`` lists and AutV's
+greedy generators.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from operator import mul
+from operator import itemgetter, mul
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .abelian import DEFAULT_CAP, Character, FiniteAbelianGroup, _echelon_add, _reduce_mod_p
@@ -230,10 +233,10 @@ def _close_columns(
         raise ValueError("cap must be at least 1")
     # the identity matrix is its own column form
     ident = Automorphism.identity(group).matrix + tuple(extra)
-    elements, seen, used = [ident], {ident}, []
+    elements, seen, memos = [ident], {ident}, []
     for s in gens:
-        _extend_closure(elements, seen, used, s, group.invariant_factors, cap)
-    return elements, used
+        _extend_closure(elements, seen, memos, s, group.invariant_factors, cap)
+    return elements, [memo.rows for memo in memos]
 
 
 def _images(
@@ -245,40 +248,69 @@ def _images(
     return [tuple([sum(map(mul, row, x)) % di for row, di in rd]) for x in points]
 
 
+class _ImageMemo(dict):
+    """The images of points under the matrix with rows ``rows``, each
+    computed by ``_images`` on its first lookup and kept."""
+
+    __slots__ = ("rows", "d")
+
+    def __init__(self, rows: Sequence[Sequence[int]], d: Sequence[int]) -> None:
+        self.rows, self.d = rows, d
+
+    def __missing__(self, x: tuple[int, ...]) -> tuple[int, ...]:
+        y = self[x] = _images(self.rows, self.d, (x,))[0]
+        return y
+
+
 def _extend_closure(
-    elements: list[tuple], seen: set, used: list[tuple], s: tuple, d: Sequence[int], cap: int
+    elements: list[tuple], seen: set, memos: list, s: tuple, d: Sequence[int], cap: int
 ) -> None:
-    """Grow ``elements``, the closure of the row matrices ``used`` in column
-    form listed identity first, and ``seen``, its set, in place to the
-    closure of ``used + [s]``, appending ``s`` to ``used``; do nothing when
-    ``s`` lies in the closure already.  The group has invariant factors
-    ``d``.  Every element carries, after its k columns, its images of the
-    points that follow them in the identity.
+    """Grow ``elements``, the closure in column form, listed identity first,
+    of the row matrices of ``memos``, and ``seen``, its set, in place to the
+    closure of those and ``s``, appending a memo of ``s`` to ``memos``; do
+    nothing when ``s`` lies in the closure already.  The group has
+    invariant factors ``d``.  Every element carries, after its k columns,
+    its images of the points that follow them in the identity.
 
     Each left coset r*H of the subgroup H built so far is listed starting
     with r: r is evaluated once on the distinct points among H's elements,
-    and r*h, the images of r on the points of h, is looked up from those
-    images.  The next representatives t*r are tried for every used
-    generator t, by applying t to the points of r."""
+    into a plain list, and each r*h is picked from that list by an
+    ``itemgetter`` over the positions of h's points, built once per call.
+    An element of width 1 is its one point, so H's points are its elements
+    in order and the coset is that list, each image wrapped in a tuple.
+    The next representatives t*r are tried for every generator t, through
+    its memo, which the whole closure shares, so a distinct point costs at
+    most one product per generator; the memo of ``s`` starts from its
+    images of the identity's points, which the membership test computed."""
     k = len(d)
-    if tuple(zip(*s)) + tuple(_images(s, d, elements[0][k:])) in seen:
+    ident = elements[0]
+    first = tuple(zip(*s)) + tuple(_images(s, d, ident[k:]))
+    if first in seen:
         return
-    subgroup = elements[:]
-    points = list(dict.fromkeys(itertools.chain.from_iterable(subgroup)))
-    used.append(s)
+    size = len(elements)
+    points = list(dict.fromkeys(itertools.chain.from_iterable(elements)))
+    if len(ident) == 1:  # each element is its one point: H's points, in order
+        picks = None
+    else:
+        position = dict(zip(points, range(len(points))))
+        picks = [itemgetter(*map(position.__getitem__, h)) for h in elements]
+    memo = _ImageMemo(s, d)
+    memo.update(zip(ident, first))
+    memos.append(memo)
+    lookups = [m.__getitem__ for m in memos]
     rep = 0
     while rep < len(elements):
         g = elements[rep]
-        for t in used:
-            r = tuple(_images(t, d, g))
+        for lookup in lookups:
+            r = tuple(map(lookup, g))
             if r not in seen:
-                if len(elements) + len(subgroup) > cap:
+                if len(elements) + size > cap:
                     raise CapExceededError(cap)
-                image = dict(zip(points, _images(tuple(zip(*r[:k])), d, points)))
-                coset = [tuple([image[c] for c in h]) for h in subgroup]
+                images = _images(tuple(zip(*r[:k])), d, points)
+                coset = list(zip(images)) if picks is None else [pick(images) for pick in picks]
                 elements.extend(coset)
                 seen.update(coset)
-        rep += len(subgroup)
+        rep += size
 
 
 @dataclass(frozen=True)

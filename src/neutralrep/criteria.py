@@ -551,19 +551,23 @@ def _verify_large_prime(V: Representation, p: int, witness: dict) -> bool:
 def _recomputed_preserving_elements(V: Representation) -> list[Automorphism]:
     """The multiplicity-preserving automorphisms, rebuilt without caches.
     A group whose |Aut(G)| exceeds the cap is refused before any work.  The
-    closure is filtered in column form, and only the survivors become
+    closure is filtered in column form, on the first support point's image
+    before the tuple of the rest, and only the survivors become
     :class:`Automorphism` objects."""
     group = V.group
     check_aut_order(group, DEFAULT_CAP)
     k = group.rank
     mult = {chi.coords: m for chi, m in V.entries}
-    wanted = tuple(mult.values())
-    elements = []
     gens = [a.matrix for a in aut_generators(group)]
     closure, _ = _close_columns(group, gens, DEFAULT_CAP, tuple(mult))
-    for images in closure:
-        if tuple(map(mult.get, images[k:])) == wanted:
-            elements.append(Automorphism(group, tuple(zip(*images[:k]))))
+    if mult:  # the empty map is kept by every element
+        first, *rest = mult.values()
+        closure = [
+            images
+            for images in closure
+            if mult.get(images[k]) == first and list(map(mult.get, images[k + 1 :])) == rest
+        ]
+    elements = [Automorphism(group, tuple(zip(*images[:k]))) for images in closure]
     elements.sort(key=lambda a: a.matrix)
     return elements
 

@@ -8,6 +8,8 @@ and the rank-3 blend digest were recorded from the code before the blend's
 orbits came from generator matrices applied to coordinates, when they still
 came from index permutations.  The search digests were recorded from the
 code before ``search`` stopped keeping every report until the sweep ended.
+The ``close_group`` order digests were recorded from the code before the
+Dimino closure memoised generator images and picked cosets by index.
 """
 
 import contextlib
@@ -19,6 +21,7 @@ import json
 import pytest
 
 from neutralrep.abelian import FiniteAbelianGroup
+from neutralrep.autgroup import aut_generators, close_group
 from neutralrep.cli import _bounded_vectors, main
 from neutralrep.criteria import neutrality_report, report_to_json
 from neutralrep.rep import Representation
@@ -35,6 +38,14 @@ SEARCH_SHA256 = {
     ("30", "2", True): "10b398288de213b843015bef1ca9f444e62d0775181795adbcebf17a59347487",
     ("60", "2", False): "b8de020c4e208b4e925ea9bfed3f9110bf2c2682997ec56828c50255157d0100",
     ("60", "2", True): "9d7fc61785e35e0d9041b112f9e81536f0e20f15692157cf509edcf58bf9c988",
+}
+# the matrices ``close_group(aut_generators(G))`` lists, in order, one JSON
+# line each
+CLOSE_GROUP_SHA256 = {
+    (2, 2, 2, 2): "ba584f3c4d6c332938527f32a14217e588f8e494b92b19f6aaa5b524936e6d6f",
+    (3, 3, 3): "26a4736d3f5a10ef8c4813014075ed2294e483ba231ca0429cd43d95d5258294",
+    (2, 2, 4): "ea8cf9cf3356a053f278568a7b9d392b0f57937224b5c059df0c9992ab09490d",
+    (97,): "e04c79f9a5de74ee8239603633b97f9719fb59331acc158a6f9b443d74f79237",
 }
 
 
@@ -118,3 +129,10 @@ def test_search_bytes_match_pinned_digest(n, max_dim, as_json):
     with contextlib.redirect_stdout(out):
         assert main(["search", "--cyclic", n, "--max-dim", max_dim, *flags]) == 0
     assert _sha256(out.getvalue()) == SEARCH_SHA256[n, max_dim, as_json]
+
+
+@pytest.mark.parametrize("factors", list(CLOSE_GROUP_SHA256))
+def test_close_group_order_matches_pinned_digest(factors):
+    closed = close_group(aut_generators(FiniteAbelianGroup(factors)))
+    text = "\n".join(json.dumps(a.matrix) for a in closed)
+    assert _sha256(text) == CLOSE_GROUP_SHA256[factors]

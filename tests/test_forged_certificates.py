@@ -24,6 +24,7 @@ from neutralrep.criteria import (
     STRATEGY_LINES_AND_GENERATORS,
     Certificate,
     _fixes_every_line,
+    _recomputed_preserving_elements,
     check_cyclic_general,
     check_large_prime,
     check_lines_generators,
@@ -163,6 +164,25 @@ def test_oracle_built_certificate_is_the_checkers_and_verifies(name):
     cert = build(factors, mult, p)
     assert check(V, p).certificate == cert
     assert verify_certificate(V, cert) is True
+
+
+# -- the empty representation ------------------------------------------------
+
+EMPTY_SUPPORT = {
+    # every automorphism keeps the empty map, and not every one of them
+    # fixes the lines of F_3^2
+    "lines-and-generators": ((3, 3), 48, lambda: lines_and_generators((3, 3), {}, 3)),
+    # the character has multiplicity 0
+    "cyclic-general": ((9,), 6, lambda: cyclic_general((9,), {}, 3, (1,), "b")),
+}
+
+
+@pytest.mark.parametrize("name", list(EMPTY_SUPPORT))
+def test_empty_support_keeps_every_automorphism_and_is_refused(name):
+    factors, order, forge = EMPTY_SUPPORT[name]
+    V = representation(factors, {})
+    assert len(_recomputed_preserving_elements(V)) == order
+    assert verify_certificate(V, forge()) is False
 
 
 # -- witness values that == would confuse with integers ----------------------
