@@ -46,6 +46,12 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def is_prime_divisor(p: int, n: int) -> bool:
+    """True when p is a prime dividing n.  Divisibility comes first: trial
+    division costs sqrt(p), and a divisor of n is at most |n|."""
+    return p >= 2 and n % p == 0 and is_prime(p)
+
+
 def prime_factorization(n: int) -> dict[int, int]:
     """Return ``{p: e}`` with ``n == prod(p**e)``.  Requires ``n >= 1``."""
     if n < 1:

@@ -15,7 +15,7 @@ import json
 import operator
 import sys
 
-from .abelian import DEFAULT_CAP, FiniteAbelianGroup, is_prime
+from .abelian import DEFAULT_CAP, FiniteAbelianGroup, is_prime_divisor
 from .criteria import (
     OVERALL_NEUTRAL,
     certificate_from_dict,
@@ -33,7 +33,7 @@ from .geometry import (
     curve_to_representation_note,
     marked_check,
 )
-from .rep import Representation, blended_decomposition, is_faithful, rep_from_input
+from .rep import Representation, blended_decomposition, is_faithful, rep_from_input, rep_to_dict
 
 
 @functools.cache
@@ -189,8 +189,7 @@ def cmd_check(args) -> int:
     V = _load_representation(args.file)
     if args.prime is not None:
         p = args.prime
-        # divisibility first: trial division on a huge --prime would run for minutes
-        if p < 2 or V.group.order % p or not is_prime(p):
+        if not is_prime_divisor(p, V.group.order):
             raise InputError(
                 f"--prime {p} must be a prime dividing the group order {V.group.order}"
             )
@@ -234,11 +233,7 @@ def cmd_blend(args) -> int:
         print(
             _dumps(
                 {
-                    "group": {"invariant_factors": list(V.group.invariant_factors)},
-                    "representation": [
-                        {"character": list(chi.coords), "multiplicity": m}
-                        for chi, m in V.entries
-                    ],
+                    **rep_to_dict(V),
                     "symmetry_order": decomposition.symmetries.order,
                     "orbits": [
                         {

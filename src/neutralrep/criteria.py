@@ -19,9 +19,9 @@ Strategies, tried cheapest first:
   restrict onto a generating set.
 
 ``verify_certificate`` replays a certificate from scratch: closures are
-recomputed without caches, generation is re-decided by explicit closure
-enumeration instead of the mod-p rank shortcut, and line fixing is rechecked
-vector by vector.
+recomputed without caches, generation is decided by closure enumeration
+alone, line fixing is rechecked vector by vector, and orbits and line
+actions are read off the column form of the closure it builds.
 """
 
 from __future__ import annotations
@@ -37,13 +37,12 @@ from .abelian import (
     Character,
     FiniteAbelianGroup,
     Subgroup,
-    is_prime,
+    is_prime_divisor,
     mod_p_image,
     primary_projection,
     rank_mod_p,
 )
 from .autgroup import (
-    Automorphism,
     _close_columns,
     acts_trivially_on_lines,
     aut_generators,
@@ -61,9 +60,11 @@ from .rep import (
     Representation,
     fixed_dim,
     is_faithful,
+    is_int,
     is_int_list,
     pseudoreflections,
     rep_from_input,
+    rep_to_dict,
     symmetry_of,
 )
 
@@ -123,14 +124,8 @@ class NeutralityReport:
 
 
 def _require_prime_divisor(group: FiniteAbelianGroup, p: int) -> None:
-    # divisibility before primality: trial division costs sqrt(p), and a
-    # divisor of the order is at most the order
-    if p < 2:
-        raise ValueError(f"{p} is not prime")
-    if group.order % p:
-        raise ValueError(f"{p} does not divide the group order {group.order}")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    if not is_prime_divisor(p, group.order):
+        raise ValueError(f"{p} is not a prime dividing the group order {group.order}")
 
 
 # ---------------------------------------------------------------------------
@@ -438,10 +433,10 @@ def verify_certificate(V: Representation, cert: Certificate) -> bool:
     and confirm the stored witness data; False on any mismatch.
 
     The code paths are deliberately different from the checkers': the fixed
-    dimension is recounted by direct enumeration, generation is re-decided
-    by explicit closure enumeration, line fixing is rechecked vector by
-    vector over every recomputed automorphism, and the automorphism closure
-    is rebuilt without the per-group cache.
+    dimension is recounted by direct enumeration, generation is decided by
+    closure enumeration alone, line fixing is rechecked vector by vector
+    over every automorphism of a closure of Aut(G) rebuilt without the
+    per-group cache, and orbits and line actions are read off its columns.
 
     Raises :class:`MalformedCertificateError` when the certificate is
     structurally unusable (unknown strategy, prime not dividing the order,
@@ -451,14 +446,11 @@ def verify_certificate(V: Representation, cert: Certificate) -> bool:
         raise MalformedCertificateError("expected a Certificate")
     group = V.group
     p = cert.prime
-    if not isinstance(p, int) or p < 2:  # true and false are 1 and 0
-        raise MalformedCertificateError(f"certificate prime {p!r} is not a prime")
-    if group.order % p:
+    # 2.0 passes is_prime; true and false are the ints 1 and 0, never prime
+    if not isinstance(p, int) or not is_prime_divisor(p, group.order):
         raise MalformedCertificateError(
-            f"prime {p} does not divide the group order {group.order}"
+            f"certificate prime {p!r} is not a prime dividing the group order {group.order}"
         )
-    if not is_prime(p):
-        raise MalformedCertificateError(f"certificate prime {p!r} is not a prime")
     witness = cert.witness
     if not isinstance(witness, dict):
         raise MalformedCertificateError("certificate witness must be an object")
@@ -548,36 +540,34 @@ def _verify_large_prime(V: Representation, p: int, witness: dict) -> bool:
     return _closure_generates(group.primary_part(p).group, projections)
 
 
-def _recomputed_preserving_elements(V: Representation) -> list[Automorphism]:
-    """The multiplicity-preserving automorphisms, rebuilt without caches.
-    A group whose |Aut(G)| exceeds the cap is refused before any work.  The
-    closure is filtered in column form, on the first support point's image
-    before the tuple of the rest, and only the survivors become
-    :class:`Automorphism` objects."""
+def _recomputed_preserving_elements(V: Representation) -> list[tuple]:
+    """The multiplicity-preserving automorphisms, rebuilt without caches, in
+    the closure's column form: each is its k columns, then its images of the
+    support characters in ``V.entries`` order.  A group whose |Aut(G)|
+    exceeds the cap is refused before any work.  The closure of Aut(G) is
+    filtered on the first support image before the rest, and not sorted."""
     group = V.group
     check_aut_order(group, DEFAULT_CAP)
     k = group.rank
     mult = {chi.coords: m for chi, m in V.entries}
     gens = [a.matrix for a in aut_generators(group)]
     closure, _ = _close_columns(group, gens, DEFAULT_CAP, tuple(mult))
-    if mult:  # the empty map is kept by every element
-        first, *rest = mult.values()
-        closure = [
-            images
-            for images in closure
-            if mult.get(images[k]) == first and list(map(mult.get, images[k + 1 :])) == rest
-        ]
-    elements = [Automorphism(group, tuple(zip(*images[:k]))) for images in closure]
-    elements.sort(key=lambda a: a.matrix)
-    return elements
+    if not mult:  # the empty map is kept by every element
+        return closure
+    first, *rest = mult.values()
+    return [
+        images
+        for images in closure
+        if mult.get(images[k]) == first and list(map(mult.get, images[k + 1 :])) == rest
+    ]
 
 
-def _orbit(elements: Sequence[Automorphism], chi: Character) -> tuple[set, Character]:
-    """The orbit of ``chi`` under ``elements``, which form a group, as the
-    set of its images' coordinates, one matrix-vector product per element;
-    and the orbit sum, from the coordinate column sums."""
-    orbit = {a.apply_coords(chi.coords) for a in elements}
-    return orbit, chi.group.character([sum(column) for column in zip(*orbit)])
+def _orbit(V: Representation, elements: Sequence[tuple], j: int) -> tuple[set, Character]:
+    """The orbit of support entry j of V under the column-form ``elements``,
+    which form a group, read off as the set of their images of that entry,
+    with no matrix product; and the orbit sum, from its column sums."""
+    orbit = {images[V.group.rank + j] for images in elements}
+    return orbit, V.group.character([sum(column) for column in zip(*orbit)])
 
 
 def _verify_cyclic_general(V: Representation, p: int, witness: dict) -> bool:
@@ -610,7 +600,7 @@ def _verify_cyclic_general(V: Representation, p: int, witness: dict) -> bool:
     m = V.multiplicity(chi)
     if witness["multiplicity"] != m or m % p == 0:  # m = 0 included
         return False
-    orbit, orbit_sum = _orbit(_recomputed_preserving_elements(V), chi)
+    orbit, orbit_sum = _orbit(V, _recomputed_preserving_elements(V), V.support.index(chi))
     if witness["orbit_size"] != len(orbit):
         return False
     proj = primary_projection(chi, p)
@@ -649,14 +639,17 @@ def _verify_lines_generators(V: Representation, p: int, witness: dict) -> bool:
     ):
         raise MalformedCertificateError("witness lists have the wrong shape")
     pp = group.primary_part(p)
+    idx = pp.indices
     elements = _recomputed_preserving_elements(V)
-    for a in elements:
-        if not _fixes_every_line(induced_mod_p_matrix(a, p), p):
+    # entry (i, j) of an element's matrix is coordinate i of its column j
+    for images in elements:
+        if not _fixes_every_line([[images[j][i] % p for j in idx] for i in idx], p):
             return False
-    _, subset = _close_columns(group, [a.matrix for a in elements], DEFAULT_CAP)
+    rows = sorted(tuple(zip(*images[: group.rank])) for images in elements)
+    _, subset = _close_columns(group, rows, DEFAULT_CAP)
     recomputed_scalars = []
-    for rows in subset:
-        induced = induced_mod_p_matrix(Automorphism(group, rows), p)
+    for matrix in subset:
+        induced = [[matrix[i][j] % p for j in idx] for i in idx]
         recomputed_scalars.append(
             {"induced_matrix": induced, "scalar": induced[0][0] % p if induced else 1}
         )
@@ -664,26 +657,21 @@ def _verify_lines_generators(V: Representation, p: int, witness: dict) -> bool:
         return False
     qualifying = []
     projections = []
-    images = []
-    for chi, m in V.entries:
+    for j, (chi, m) in enumerate(V.entries):
         if m % p == 0:
             continue
-        orbit, orbit_sum = _orbit(elements, chi)
+        orbit, orbit_sum = _orbit(V, elements, j)
         if any(mod_p_image(orbit_sum, p)):
             tag = "a"
         elif len(orbit) % p != 0:
             tag = "b"
         else:
             continue
-        image = mod_p_image(chi, p)
         qualifying.append(
-            {"character": list(chi.coords), "tag": tag, "mod_p_image": list(image)}
+            {"character": list(chi.coords), "tag": tag, "mod_p_image": list(mod_p_image(chi, p))}
         )
         projections.append(primary_projection(chi, p))
-        images.append(image)
     if witness["qualifying"] != qualifying:
-        return False
-    if rank_mod_p(images, p) != group.p_rank(p):
         return False
     return _closure_generates(pp.group, projections)
 
@@ -790,7 +778,7 @@ def verdict_from_dict(doc) -> PrimeVerdict:
     if not isinstance(doc, dict) or "prime" not in doc or "verdict" not in doc:
         raise InputError("per-prime entry must carry 'prime' and 'verdict'")
     prime = doc["prime"]
-    if not isinstance(prime, int) or isinstance(prime, bool):
+    if not is_int(prime):
         raise InputError(f"per-prime entry has a non-integer prime {prime!r}")
     if doc["verdict"] == "certified":
         return PrimeVerdict(prime, certificate_from_dict(doc))
@@ -816,11 +804,7 @@ def certificate_from_dict(doc) -> Certificate:
 def report_to_dict(report: NeutralityReport) -> dict:
     rep = report.representation
     return {
-        "group": {"invariant_factors": list(rep.group.invariant_factors)},
-        "representation": [
-            {"character": list(chi.coords), "multiplicity": m}
-            for chi, m in rep.entries
-        ],
+        **rep_to_dict(rep),
         "dim": rep.dim,
         "overall": report.overall,
         "faithful": report.faithful,

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .abelian import is_prime, prime_factorization
+from .abelian import is_prime_divisor, prime_factorization
 from .errors import (
     ExtraneousPrimeError,
     InvalidDimsError,
@@ -23,6 +23,7 @@ from .errors import (
     MissingFixedDimError,
     MissingQuotientGenusError,
 )
+from .rep import is_int
 
 VERDICT_DEFINED = "DefinedOverFieldOfModuli"
 VERDICT_UNKNOWN = "Unknown"
@@ -75,8 +76,7 @@ def _checked_prime_map(data: Mapping[int, int], n: int, what: str) -> dict[int, 
     """
     divisors = sorted(prime_factorization(n)) if n > 1 else []
     for key in data:
-        # divisibility before primality: trial division costs sqrt(key)
-        if not isinstance(key, int) or key < 2 or n % key or not is_prime(key):
+        if not isinstance(key, int) or not is_prime_divisor(key, n):
             raise ExtraneousPrimeError(key, n)
     missing = [p for p in divisors if p not in data]
     if missing:
@@ -101,7 +101,7 @@ def curve_check(instance: CurveInstance) -> GeometryReport:
         raise InvalidGenusError(f"genus {g!r} must be an integer >= 2")
     data = _checked_prime_map(instance.quotient_genus, n, "quotient_genus")
     for p, gp in data.items():
-        if not isinstance(gp, int) or gp < 0 or gp > g:
+        if not is_int(gp) or gp < 0 or gp > g:
             raise InvalidGenusError(
                 f"quotient genus {gp!r} at p = {p} must be an integer in [0, {g}]"
             )
@@ -131,7 +131,7 @@ def marked_check(instance: MarkedInstance) -> GeometryReport:
         raise InvalidDimsError(f"dimension {d!r} must be an integer >= 1")
     data = _checked_prime_map(instance.fixed_dim, n, "fixed_dim")
     for p, fp in data.items():
-        if not isinstance(fp, int) or fp < 0 or fp > d:
+        if not is_int(fp) or fp < 0 or fp > d:
             raise InvalidDimsError(
                 f"fixed dimension {fp!r} at p = {p} must be an integer in [0, {d}]"
             )
@@ -212,7 +212,7 @@ def _int_field(doc, key):
     if not isinstance(doc, dict) or key not in doc:
         raise InvalidDimsError(f"missing required key {key!r}")
     value = doc[key]
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not is_int(value):
         raise InvalidDimsError(f"{key!r} must be an integer")
     return value
 
@@ -227,7 +227,7 @@ def _prime_keyed(doc, key):
             p = int(k)
         except (TypeError, ValueError):
             raise InvalidDimsError(f"{key!r} key {k!r} is not an integer") from None
-        if not isinstance(v, int) or isinstance(v, bool):
+        if not is_int(v):
             raise InvalidDimsError(f"{key!r} value for {k!r} must be an integer")
         out[p] = v
     return out

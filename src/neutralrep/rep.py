@@ -53,7 +53,7 @@ class Representation:
         for chi, m in self.entries:
             if chi.group != self.group:
                 raise ValueError("support character belongs to a different group")
-            if not isinstance(m, int) or m < 1:
+            if not is_int(m) or m < 1:
                 raise NonPositiveMultiplicityError(
                     f"multiplicity {m!r} for character {chi} must be an integer >= 1"
                 )
@@ -240,7 +240,7 @@ def rep_from_input(doc) -> Representation:
         if not is_int_list(coords):
             raise InputError(f"representation entry {pos}: character must be a list of integers")
         m = item["multiplicity"]
-        if not isinstance(m, int) or isinstance(m, bool) or m < 1:
+        if not is_int(m) or m < 1:
             raise NonPositiveMultiplicityError(
                 f"representation entry {pos}: multiplicity must be an integer >= 1"
             )
@@ -248,11 +248,25 @@ def rep_from_input(doc) -> Representation:
     return Representation(group, tuple(entries))
 
 
+def rep_to_dict(V: Representation) -> dict:
+    """The input document of V, as ``rep_from_input`` reads it; reports and
+    blends open with it."""
+    return {
+        "group": {"invariant_factors": list(V.group.invariant_factors)},
+        "representation": [
+            {"character": list(chi.coords), "multiplicity": m} for chi, m in V.entries
+        ],
+    }
+
+
+def is_int(value) -> bool:
+    """True for an integer; true and false (Python bools) are not integers."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def is_int_list(values) -> bool:
-    """True for a list of integers; JSON's true and false are not integers."""
-    return isinstance(values, list) and all(
-        isinstance(x, int) and not isinstance(x, bool) for x in values
-    )
+    """True for a list of integers, in the sense of ``is_int``."""
+    return isinstance(values, list) and all(map(is_int, values))
 
 
 def group_from_input(fragment) -> FiniteAbelianGroup:

@@ -285,18 +285,27 @@ def primary_restriction(coords, factors, p):
     return tuple(out)
 
 
+@functools.lru_cache(maxsize=None)
+def automorphism_matrices(factors):
+    """The bijective endomorphism matrices, as tuples of row tuples in
+    lexicographic order.  Memoised per ``factors`` (a tuple)."""
+    coords = all_coord_tuples(factors)
+    out = []
+    for M in valid_endomorphism_matrices(factors):
+        if len({apply_matrix(M, c, factors) for c in coords}) == len(coords):
+            out.append(tuple(map(tuple, M)))
+    return tuple(sorted(out))
+
+
 def preserving_matrices(factors, mult):
     """The bijective endomorphism matrices, as tuples of row tuples in
     lexicographic order, that map each character of the support of ``mult``
     (coordinate tuple -> multiplicity) to one of the same multiplicity."""
-    coords = all_coord_tuples(factors)
-    out = []
-    for M in valid_endomorphism_matrices(factors):
-        if len({apply_matrix(M, c, factors) for c in coords}) != len(coords):
-            continue
-        if all(mult.get(apply_matrix(M, c, factors)) == m for c, m in mult.items()):
-            out.append(tuple(map(tuple, M)))
-    return sorted(out)
+    return [
+        M
+        for M in automorphism_matrices(tuple(factors))
+        if all(mult.get(apply_matrix(M, c, factors)) == m for c, m in mult.items())
+    ]
 
 
 def greedy_generators(matrices, factors):

@@ -9,6 +9,7 @@ from neutralrep.abelian import (
     FiniteAbelianGroup,
     generates,
     is_prime,
+    is_prime_divisor,
     mod_p_image,
     prime_factorization,
     primary_projection,
@@ -273,6 +274,15 @@ def test_rank_mod_p():
     assert rank_mod_p([(1, 1), (2, 2)], 3) == 1
     assert rank_mod_p([], 5) == 0
     assert rank_mod_p([(0, 0)], 5) == 0
+
+
+def test_is_prime_divisor_matches_brute_force():
+    for n in range(1, 200):
+        for p in range(-2, n + 3):
+            brute = p >= 2 and n % p == 0 and all(p % q for q in range(2, p))
+            assert is_prime_divisor(p, n) == brute, (p, n)
+    # a huge p that does not divide n is refused before any trial division
+    assert not is_prime_divisor(10**18 + 3, 6)
 
 
 def test_prime_helpers():

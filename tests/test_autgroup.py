@@ -27,7 +27,12 @@ from neutralrep.autgroup import (
     orbit_partition,
     support_orbits,
 )
-from neutralrep.criteria import STRATEGY_LINES_AND_GENERATORS, neutrality_report
+from neutralrep.criteria import (
+    STRATEGY_LINES_AND_GENERATORS,
+    _orbit,
+    _recomputed_preserving_elements,
+    neutrality_report,
+)
 from neutralrep.errors import CapExceededError
 from neutralrep.rep import Representation, blended_decomposition
 
@@ -547,6 +552,27 @@ def assert_orbit_data(group, orbits):
             assert orbit.det_character is group.zero()
 
 
+def assert_replay_data(group, mult):
+    """Certificate replay's own data against the oracles: after its k
+    columns each element carries its images of the support characters,
+    which make up each character's orbit under the oracle's preserving
+    matrices, with the oracle's sum; and the greedy closure of the
+    lexicographically sorted rows picks the oracle's greedy generators."""
+    factors, k = group.invariant_factors, group.rank
+    V = Representation.from_multiplicities(group, mult)
+    matrices = oracles.preserving_matrices(factors, mult)
+    elements = _recomputed_preserving_elements(V)
+    for j, c in enumerate(sorted(mult)):
+        expected = {oracles.apply_matrix(M, c, factors) for M in matrices}
+        assert {images[k + j] for images in elements} == expected, (factors, mult, c)
+        orbit, orbit_sum = _orbit(V, elements, j)
+        assert orbit == expected
+        assert orbit_sum.coords == oracles.sum_tuples(expected, factors), (factors, mult, c)
+    rows = sorted(tuple(zip(*images[:k])) for images in elements)
+    assert rows == matrices, (factors, mult)
+    assert _close_columns(group, rows)[1] == oracles.greedy_generators(matrices, factors)
+
+
 def test_orbit_sums_and_determinants_match_the_oracle():
     # the criterion-2 sweep (every group of order <= 16 and rank <= 2, every
     # support of up to 3 characters with multiplicities 1 or 2), then seeded
@@ -570,6 +596,7 @@ def test_orbit_sums_and_determinants_match_the_oracle():
         sym = aut_v_subgroup(group, {group.character(c): m for c, m in mult.items()})
         assert_orbit_data(group, orbit_partition(sym))
         assert_orbit_data(group, support_orbits(sym).values())
+        assert_replay_data(group, mult)
     for factors, group in groups.items():
         assert group.zero() is group.zero()
         assert group.zero() == Character((0,) * len(factors), group)

@@ -49,6 +49,8 @@ def test_curve_validation():
         curve_check(CurveInstance(n=2, genus=1, quotient_genus={2: 0}))
     with pytest.raises(InvalidGenusError):
         curve_check(CurveInstance(n=2, genus=3, quotient_genus={2: 4}))
+    with pytest.raises(InvalidGenusError):
+        curve_check(CurveInstance(n=2, genus=3, quotient_genus={2: True}))
     # n = 1: vacuously defined over the field of moduli
     assert curve_check(CurveInstance(n=1, genus=2, quotient_genus={})).verdict == VERDICT_DEFINED
 
@@ -74,6 +76,8 @@ def test_marked_validation():
         marked_check(MarkedInstance(n=2, dim=0, fixed_dim={2: 0}))
     with pytest.raises(InvalidDimsError):
         marked_check(MarkedInstance(n=2, dim=2, fixed_dim={2: 3}))
+    with pytest.raises(InvalidDimsError):
+        marked_check(MarkedInstance(n=2, dim=2, fixed_dim={2: True}))
 
 
 def test_reduction_note():

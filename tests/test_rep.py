@@ -42,6 +42,15 @@ def test_representation_normalization():
         rep((4,), {(1,): 1, (5,): 1})
 
 
+def test_bool_multiplicity_is_refused():
+    # true equals 1 and hashes alike, so a representation holding it would
+    # write "multiplicity":true and share cached results with the one
+    # holding 1
+    for m in (True, False):
+        with pytest.raises(NonPositiveMultiplicityError):
+            rep((8,), {(5,): m, (6,): 1, (7,): 1})
+
+
 def test_fixed_dim_examples():
     V = rep((4,), {(1,): 1, (2,): 1})
     K = V.group.subgroup([V.group.character((2,))])  # {0, 2}: trivial on mu_2

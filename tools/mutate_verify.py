@@ -2,7 +2,9 @@
 
 Each mutant changes one thing in one verify function: it flips or shifts
 one comparison, swaps one ``and``/``or``, drops one term of a condition,
-flips one boolean ``return`` or removes one ``not``.  The mutants are made
+flips one boolean ``return``, removes one ``not`` or wraps one test in
+``not``: that of an ``if``, ``elif`` or ``while``, of a conditional
+expression, or one filter of a comprehension.  The mutants are made
 with the standard-library ``ast`` module, written into a temporary copy of
 ``src``, ``tests`` and ``pyproject.toml``, and tested there, so the checkout
 itself is never touched.  A mutant that makes a test fail (or time out) is
@@ -79,6 +81,17 @@ def _key(node: ast.AST) -> tuple:
     return (type(node).__name__, node.lineno, node.col_offset, node.end_lineno, node.end_col_offset)
 
 
+def _tests(node: ast.AST) -> list[ast.expr]:
+    """The truth tests that ``node`` branches on: the test of an ``if``
+    (an ``elif`` is an ``if`` of its own), a ``while`` or a conditional
+    expression, or each filter of a comprehension."""
+    if isinstance(node, (ast.If, ast.While, ast.IfExp)):
+        return [node.test]
+    if isinstance(node, ast.comprehension):
+        return list(node.ifs)
+    return []
+
+
 def mutation_sites(source: str) -> list[tuple]:
     """Every (function, node key, kind, argument, source text) mutation of
     the target functions, in a fixed order."""
@@ -87,6 +100,9 @@ def mutation_sites(source: str) -> list[tuple]:
         if not (isinstance(fn, ast.FunctionDef) and fn.name in TARGETS):
             continue
         for node in ast.walk(fn):
+            for test in _tests(node):
+                text = " ".join((ast.get_source_segment(source, test) or "").split())
+                sites.append((fn.name, _key(test), "negate", None, text))
             found = []
             if isinstance(node, ast.Compare):
                 for j, op in enumerate(node.ops):
@@ -126,6 +142,8 @@ class _Mutator(ast.NodeTransformer):
             node.value = ast.Constant(not node.value.value)
         elif self.kind == "unnot":
             return node.operand
+        elif self.kind == "negate":
+            return ast.UnaryOp(ast.Not(), node)
         return node
 
 
@@ -137,7 +155,8 @@ def mutant_source(source: str, site: tuple) -> tuple[str, str]:
         label = f"{arg[1].__name__} -> {arg[2].__name__}"
     else:
         label = {"swap": "and/or swap", "drop": f"term {arg} dropped",
-                 "flip": "boolean return flipped", "unnot": "not removed"}[kind]
+                 "flip": "boolean return flipped", "unnot": "not removed",
+                 "negate": "test negated"}[kind]
     return ast.unparse(ast.fix_missing_locations(tree)), f"{name}:{key[1]} {label}: {text}"
 
 
