@@ -22,10 +22,13 @@ alone, never a table over all |G| characters.
 
 Orbits come from one walk that applies the subgroup's generator matrices to
 coordinate tuples and sums each orbit as it closes it, so an :class:`Orbit`
-carries its sum as a plain field.  The subgroup maps the support onto
-itself, so the orbits the criteria read, those of support characters, are
-walked from the support alone (``support_orbits``); only the blended
-decomposition walks all |G| characters (``orbit_partition``).
+carries its sum as a plain field.  The walk builds each orbit in one step,
+a bare instance whose ``__dict__`` gets every field in one update, and on
+the blended decomposition's path that update carries the determinant
+character too.  The subgroup maps the support onto itself, so the orbits
+the criteria read, those of support characters, are walked from the
+support alone (``support_orbits``, which builds no ``Character``); only the
+blended decomposition walks all |G| characters (``orbit_partition``).
 
 Closures of generator lists are built one left coset r*H at a time
 (Dimino's algorithm), on column form: an element is the tuple of its
@@ -426,9 +429,15 @@ class Orbit:
     """One orbit of characters, held as its members' coordinate tuples in
     lexicographic order, with their common eigenspace multiplicity d and
     ``sum_coords``, the coordinates of the orbit sum, which the walk that
-    found the orbit computed.  ``characters`` and ``det_character`` (d
-    times the orbit sum, the determinant of the orbit's eigenspaces) are
-    built from these on first use."""
+    found the orbit computed.  ``det_character`` is d times the orbit sum,
+    the determinant of the orbit's eigenspaces.
+
+    The walk builds each orbit in one step, filling the instance's
+    ``__dict__`` as ``cached_property`` does, so the generated ``__init__``
+    never runs; the orbit is still frozen, and compares and hashes like one
+    built through the constructor.  An orbit of ``orbit_partition`` arrives
+    with its ``det_character``; on any other orbit that is built on first
+    read, and ``characters`` always is."""
 
     group: FiniteAbelianGroup
     members: tuple[tuple[int, ...], ...]
@@ -451,18 +460,24 @@ class Orbit:
         return self.group.character([self.multiplicity * a for a in self.sum_coords])
 
 
-def _orbits(subgroup: AutVSubgroup, starts: Iterable[tuple[int, ...]]) -> list[Orbit]:
+def _orbits(
+    subgroup: AutVSubgroup, starts: Iterable[tuple[int, ...]], dets: bool = False
+) -> list[Orbit]:
     """The orbit of each start point under the subgroup, each orbit once and
-    in the order of the first start that reaches it, with its sum.
+    in the order of the first start that reaches it, with its sum, and with
+    ``dets`` its determinant character too: the group's shared zero for
+    multiplicity 0, with no product taken, and d times the sum otherwise.
 
     The walk applies the generators' row matrices to coordinate tuples, one
     matrix-vector product per member and generator, as ``_images`` does.  A
     closed orbit is sorted and its columns summed; a singleton orbit is its
-    own sum.  Raises ``ValueError`` when the multiplicity is not constant on
-    an orbit."""
+    own sum.  Each :class:`Orbit` is a bare instance whose fields go into
+    its ``__dict__`` in one update.  Raises ``ValueError`` when the
+    multiplicity is not constant on an orbit."""
     group, mult = subgroup.group, dict(subgroup.support)
     d = group.invariant_factors
     gens = [list(zip(a.matrix, d)) for a in subgroup.generator_subset]
+    zero = group.zero() if dets else None
     seen: set[tuple[int, ...]] = set()
     out = []
     for start in starts:
@@ -487,7 +502,12 @@ def _orbits(subgroup: AutVSubgroup, starts: Iterable[tuple[int, ...]]) -> list[O
         else:
             members.sort()
             total = tuple([sum(c) % di for c, di in zip(zip(*members), d)])
-        out.append(Orbit(group, tuple(members), m, total))
+        orbit = object.__new__(Orbit)
+        fields = {"group": group, "members": tuple(members), "multiplicity": m, "sum_coords": total}
+        if dets:
+            fields["det_character"] = group.character([m * a for a in total]) if m else zero
+        orbit.__dict__.update(fields)
+        out.append(orbit)
     return out
 
 
@@ -502,9 +522,10 @@ def support_orbits(subgroup: AutVSubgroup) -> dict[tuple[int, ...], Orbit]:
 def orbit_partition(subgroup: AutVSubgroup) -> tuple[Orbit, ...]:
     """Orbits of the whole character set under the subgroup, ordered by
     least member.  Walks all |G| characters; only the blended decomposition
-    needs the orbits off the support."""
+    needs the orbits off the support.  Every orbit comes with its
+    ``det_character`` built."""
     starts = itertools.product(*map(range, subgroup.group.invariant_factors))
-    return tuple(_orbits(subgroup, starts))
+    return tuple(_orbits(subgroup, starts, dets=True))
 
 
 def induced_mod_p_matrix(a: Automorphism, p: int) -> list[list[int]]:

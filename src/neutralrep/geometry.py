@@ -95,9 +95,9 @@ def curve_check(instance: CurveInstance) -> GeometryReport:
     to the characteristic.
     """
     n, g = instance.n, instance.genus
-    if n < 1:
-        raise InvalidGenusError(f"automorphism order n = {n} must be >= 1")
-    if not isinstance(g, int) or g < 2:
+    if not is_int(n) or n < 1:
+        raise InvalidGenusError(f"automorphism order n = {n!r} must be an integer >= 1")
+    if not is_int(g) or g < 2:
         raise InvalidGenusError(f"genus {g!r} must be an integer >= 2")
     data = _checked_prime_map(instance.quotient_genus, n, "quotient_genus")
     for p, gp in data.items():
@@ -125,9 +125,9 @@ def marked_check(instance: MarkedInstance) -> GeometryReport:
     is mu_n and that the marked point is smooth.
     """
     n, d = instance.n, instance.dim
-    if n < 1:
-        raise InvalidDimsError(f"automorphism order n = {n} must be >= 1")
-    if not isinstance(d, int) or d < 1:
+    if not is_int(n) or n < 1:
+        raise InvalidDimsError(f"automorphism order n = {n!r} must be an integer >= 1")
+    if not is_int(d) or d < 1:
         raise InvalidDimsError(f"dimension {d!r} must be an integer >= 1")
     data = _checked_prime_map(instance.fixed_dim, n, "fixed_dim")
     for p, fp in data.items():

@@ -175,7 +175,7 @@ class BlendedDecomposition:
     components: tuple[Orbit, ...]
 
     def __post_init__(self):
-        total = sum(c.size * c.multiplicity for c in self.components)
+        total = sum(len(c.members) * c.multiplicity for c in self.components)
         if total != self.representation.dim:
             raise ValueError(
                 f"orbit dimensions sum to {total}, expected {self.representation.dim}"
@@ -191,16 +191,14 @@ def blended_decomposition(
 
     The subgroup comes from :func:`symmetry_of`, so a report on V before
     the blend leaves nothing to search; the partition of all |G| characters
-    is walked here, once per call, and nowhere else, and the walk sums each
-    orbit as it closes it.  Every determinant character is built here too,
-    so a caller's reads cost nothing: the group's one shared zero for a
-    multiplicity-0 orbit, d times the orbit sum otherwise.
+    is walked here, once per call, and nowhere else.  The walk sums each
+    orbit as it closes it and builds the orbit in one step with its
+    determinant character, the group's one shared zero for a
+    multiplicity-0 orbit and d times the orbit sum otherwise, so a caller's
+    reads of ``det_character`` cost nothing.
     """
     symmetries, _ = symmetry_of(V, cap)
-    components = orbit_partition(symmetries)
-    for orbit in components:
-        orbit.det_character  # built now rather than on the caller's first read
-    return BlendedDecomposition(V, symmetries, components)
+    return BlendedDecomposition(V, symmetries, orbit_partition(symmetries))
 
 
 def rep_from_input(doc) -> Representation:

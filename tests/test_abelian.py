@@ -186,6 +186,10 @@ def test_generates_examples():
     assert generates([g22.character((1, 0)), g22.character((1, 1))], g22)
     assert generates([], FiniteAbelianGroup())
     assert not generates([], g4)
+    # an equal group built apart is the same group; a different one is refused
+    assert generates([FiniteAbelianGroup((4,)).character((1,))], g4)
+    with pytest.raises(ValueError):
+        generates([FiniteAbelianGroup((2,)).character((1,))], g4)
 
 
 def test_generates_agrees_with_closure_enumeration():
@@ -288,5 +292,6 @@ def test_is_prime_divisor_matches_brute_force():
 def test_prime_helpers():
     assert [n for n in range(20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
     assert prime_factorization(360) == {2: 3, 3: 2, 5: 1}
+    assert prime_factorization(1) == {}
     assert FiniteAbelianGroup((2, 12)).prime_divisors() == (2, 3)
     assert FiniteAbelianGroup().prime_divisors() == ()

@@ -1,5 +1,6 @@
 """Automorphism closure, multiplicity-preserving subgroups, orbits, lines."""
 
+import dataclasses
 import functools
 import itertools
 import random
@@ -15,6 +16,7 @@ from neutralrep import rep as rep_module
 from neutralrep.abelian import Character, FiniteAbelianGroup
 from neutralrep.autgroup import (
     Automorphism,
+    Orbit,
     _close_columns,
     _preserving_matrices,
     acts_trivially_on_lines,
@@ -288,6 +290,11 @@ def test_aut_v_subgroup_examples():
     assert sym2.order == 1
     g2 = FiniteAbelianGroup((2,))
     assert aut_v_subgroup(g2, {g2.character((1,)): 3}).order == 1
+    # a multiplicity-0 entry is no support character; a negative one is refused
+    mult = {g5.character((1,)): 1, g5.character((4,)): 1}
+    assert aut_v_subgroup(g5, {**mult, g5.character((2,)): 0}) == sym
+    with pytest.raises(ValueError):
+        aut_v_subgroup(g5, {**mult, g5.character((2,)): -1})
 
 
 def test_backtrack_matches_filtered_closure():
@@ -466,6 +473,7 @@ def test_scalar_matrix_test_matches_literal_check():
             for _ in range(25):
                 M = oracles.random_invertible_matrix(rng, r, p)
                 assert is_scalar_matrix_mod_p(M, p) == oracles.fixes_all_lines(M, p)
+        assert is_scalar_matrix_mod_p([], p)  # the space {0} has no line to move
 
 
 def test_induced_mod_p_matrix():
@@ -624,6 +632,30 @@ def test_support_orbits_build_no_character_and_blend_builds_every_determinant(mo
     assert len(dets) == len(decomposition.components) and built == []
     # the characters of an orbit stay lazy
     assert not any("characters" in vars(orbit) for orbit in decomposition.components)
+
+
+def test_walked_orbits_keep_the_orbit_contract():
+    # the walk fills each orbit's __dict__ instead of running the generated
+    # __init__; the orbit must still be frozen, equal to and hash like the
+    # one the constructor builds, print the same, and keep ``characters``
+    # lazy; only the partition's orbits arrive with their determinant
+    group = FiniteAbelianGroup((2, 12))
+    mult = {group.character(c): m for c, m in [((1, 1), 1), ((1, 5), 1), ((0, 3), 2)]}
+    sym = aut_v_subgroup(group, mult)
+    partition = orbit_partition(sym)
+    on_support = list(dict.fromkeys(support_orbits(sym).values()))  # each orbit once
+    assert any(orbit.size > 1 for orbit in on_support)
+    for orbit in partition + tuple(on_support):
+        built = Orbit(group, orbit.members, orbit.multiplicity, orbit.sum_coords)
+        assert orbit == built and hash(orbit) == hash(built)
+        assert repr(orbit) == repr(built)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            orbit.multiplicity = orbit.multiplicity + 1
+        assert "characters" not in vars(orbit)
+        assert orbit.characters == built.characters
+        assert "characters" in vars(orbit)
+    assert all("det_character" in vars(orbit) for orbit in partition)
+    assert not any("det_character" in vars(orbit) for orbit in on_support)
 
 
 def test_multiplicity_constant_on_orbits():

@@ -80,6 +80,22 @@ def test_marked_validation():
         marked_check(MarkedInstance(n=2, dim=2, fixed_dim={2: True}))
 
 
+@pytest.mark.parametrize(
+    "check, instance, error",
+    [
+        (curve_check, CurveInstance(n=True, genus=2, quotient_genus={}), InvalidGenusError),
+        (curve_check, CurveInstance(n=2, genus=True, quotient_genus={2: 0}), InvalidGenusError),
+        (marked_check, MarkedInstance(n=True, dim=1, fixed_dim={}), InvalidDimsError),
+        (marked_check, MarkedInstance(n=2, dim=True, fixed_dim={2: 0}), InvalidDimsError),
+    ],
+    ids=["curve-n", "curve-genus", "marked-n", "marked-dim"],
+)
+def test_bool_order_genus_and_dimension_are_refused(check, instance, error):
+    # True is not the integer 1 here, as for the per-prime values
+    with pytest.raises(error):
+        check(instance)
+
+
 def test_reduction_note():
     note = curve_to_representation_note(CurveInstance(n=2, genus=3, quotient_genus={2: 0}))
     assert "global 1-forms" in note.summary

@@ -1,23 +1,27 @@
-"""Mutation run over the certificate-replay (verify) functions of criteria.py.
+"""Mutation runs over sets of target functions: the certificate-replay
+(verify) functions of criteria.py, and the blend path's orbit walk and
+decomposition in autgroup.py and rep.py.
 
-Each mutant changes one thing in one verify function: it flips or shifts
+Each mutant changes one thing in one target function: it flips or shifts
 one comparison, swaps one ``and``/``or``, drops one term of a condition,
 flips one boolean ``return``, removes one ``not`` or wraps one test in
 ``not``: that of an ``if``, ``elif`` or ``while``, of a conditional
 expression, or one filter of a comprehension.  The mutants are made
-with the standard-library ``ast`` module, written into a temporary copy of
-``src``, ``tests`` and ``pyproject.toml``, and tested there, so the checkout
-itself is never touched.  A mutant that makes a test fail (or time out) is
-killed; one that passes every test survives, which means no test pins the
-check it changed.
+with the standard-library ``ast`` module, written into a temporary copy
+of ``src``, ``tests``, ``perfbench`` and ``pyproject.toml``, and tested
+there against their set's test files, so the checkout itself is never
+touched.  A mutant that makes a test fail (or time out) is killed; one
+that passes every test survives, which means no test pins the check it
+changed.
 
 Run from anywhere:
 
-    python3 tools/mutate_verify.py          # run every mutant against TESTS
-    python3 tools/mutate_verify.py --list   # print the mutants only
+    python3 tools/mutate_verify.py               # every set, each against its tests
+    python3 tools/mutate_verify.py --set blend   # one set
+    python3 tools/mutate_verify.py --list        # print the mutants only
 
-It prints one line per mutant and a summary, and exits 1 when a mutant
-survives (2 when the unmutated copy already fails its tests).
+It prints one line per mutant and a summary per set, and exits 1 when a
+mutant survives (2 when the unmutated copy already fails a set's tests).
 """
 
 from __future__ import annotations
@@ -31,33 +35,53 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from typing import Iterator
 
 ROOT = Path(__file__).resolve().parent.parent
-CRITERIA = Path("src/neutralrep/criteria.py")
 
-#: The functions that replay a certificate.
-TARGETS = (
-    "verify_certificate",
-    "_integral",
-    "_need_keys",
-    "_verify_easy_cyclic",
-    "_closure_generates",
-    "_verify_large_prime",
-    "_recomputed_preserving_elements",
-    "_orbit",
-    "_verify_cyclic_general",
-    "_fixes_every_line",
-    "_verify_lines_generators",
-)
-
-#: The test files that exercise verify.
-TESTS = (
-    "tests/test_forged_certificates.py",
-    "tests/test_criteria.py",
-    "tests/test_replay_property.py",
-    "tests/test_cli.py",
-    "tests/test_differential.py",
-)
+#: Each set: its target functions, by module, a method named as
+#: ``Class.method``; and the test files that pin them, in the order run.
+SETS = {
+    "verify": {
+        "targets": {
+            "src/neutralrep/criteria.py": (
+                "verify_certificate",
+                "_integral",
+                "_need_keys",
+                "_verify_easy_cyclic",
+                "_closure_generates",
+                "_verify_large_prime",
+                "_recomputed_preserving_elements",
+                "_orbit",
+                "_verify_cyclic_general",
+                "_fixes_every_line",
+                "_verify_lines_generators",
+            ),
+        },
+        "tests": (
+            "tests/test_forged_certificates.py",
+            "tests/test_criteria.py",
+            "tests/test_replay_property.py",
+            "tests/test_cli.py",
+            "tests/test_differential.py",
+        ),
+    },
+    "blend": {
+        "targets": {
+            "src/neutralrep/autgroup.py": ("_orbits", "orbit_partition", "support_orbits"),
+            "src/neutralrep/rep.py": (
+                "blended_decomposition",
+                "BlendedDecomposition.__post_init__",
+            ),
+        },
+        "tests": (
+            "tests/test_rep.py",
+            "tests/test_digests.py",
+            "tests/test_perfbench_layers.py",
+            "tests/test_autgroup.py",
+        ),
+    },
+}
 
 #: Seconds before a mutant's test run is stopped and counted as killed.
 TIMEOUT_S = 300
@@ -92,17 +116,29 @@ def _tests(node: ast.AST) -> list[ast.expr]:
     return []
 
 
-def mutation_sites(source: str) -> list[tuple]:
+def _functions(tree: ast.Module) -> Iterator[tuple[str, ast.FunctionDef]]:
+    """The module's functions and its classes' methods, with their names,
+    a method's as ``Class.method``, in source order."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for fn in node.body:
+                if isinstance(fn, ast.FunctionDef):
+                    yield f"{node.name}.{fn.name}", fn
+
+
+def mutation_sites(source: str, targets: tuple[str, ...]) -> list[tuple]:
     """Every (function, node key, kind, argument, source text) mutation of
     the target functions, in a fixed order."""
     sites = []
-    for fn in ast.parse(source).body:
-        if not (isinstance(fn, ast.FunctionDef) and fn.name in TARGETS):
+    for name, fn in _functions(ast.parse(source)):
+        if name not in targets:
             continue
         for node in ast.walk(fn):
             for test in _tests(node):
                 text = " ".join((ast.get_source_segment(source, test) or "").split())
-                sites.append((fn.name, _key(test), "negate", None, text))
+                sites.append((name, _key(test), "negate", None, text))
             found = []
             if isinstance(node, ast.Compare):
                 for j, op in enumerate(node.ops):
@@ -118,7 +154,7 @@ def mutation_sites(source: str) -> list[tuple]:
             elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
                 found = [("unnot", None)]
             text = " ".join((ast.get_source_segment(source, node) or "").split())
-            sites += [(fn.name, _key(node), kind, arg, text) for kind, arg in found]
+            sites += [(name, _key(node), kind, arg, text) for kind, arg in found]
     return sites
 
 
@@ -160,12 +196,12 @@ def mutant_source(source: str, site: tuple) -> tuple[str, str]:
     return ast.unparse(ast.fix_missing_locations(tree)), f"{name}:{key[1]} {label}: {text}"
 
 
-def run_tests(workdir: Path) -> str:
-    """'pass', 'fail' or 'timeout' for the test run in the copy.  No
+def run_tests(workdir: Path, tests: tuple[str, ...]) -> str:
+    """'pass', 'fail' or 'timeout' for the run of ``tests`` in the copy.  No
     bytecode is cached, since a flipped operator leaves the module's size
     unchanged, and the copy's own ``src`` is the only one on the path."""
     cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-           "-o", "addopts=", *TESTS]
+           "-o", "addopts=", *tests]
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     env["PYTHONDONTWRITEBYTECODE"] = "1"
     try:
@@ -175,44 +211,67 @@ def run_tests(workdir: Path) -> str:
     return "pass" if done.returncode == 0 else "fail"
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--list", action="store_true", help="print the mutants and stop")
-    args = parser.parse_args(argv)
+def set_mutants(name: str) -> tuple[dict[str, str], list[tuple[str, tuple]]]:
+    """The set's target modules, path to source, and its (path, site)
+    mutations, module by module."""
+    sources, mutants = {}, []
+    for path, targets in SETS[name]["targets"].items():
+        sources[path] = (ROOT / path).read_text()
+        mutants += [(path, site) for site in mutation_sites(sources[path], targets)]
+    return sources, mutants
 
-    source = (ROOT / CRITERIA).read_text()
-    sites = mutation_sites(source)
-    if args.list:
-        for i, site in enumerate(sites):
-            print(f"{i:3d} {mutant_source(source, site)[1]}")
-        return 0
 
-    with tempfile.TemporaryDirectory(prefix="mutate-verify-") as tmp:
+def run_set(name: str) -> int:
+    """Run every mutant of the set; 0 when all are killed, 1 when one
+    survives, 2 when the unmutated copy fails the set's tests."""
+    sources, mutants = set_mutants(name)
+    tests = SETS[name]["tests"]
+    with tempfile.TemporaryDirectory(prefix="mutate-") as tmp:
         work = Path(tmp)
-        for part in ("src", "tests"):
+        # the benchmark's sources too, which a test reads
+        for part in ("src", "tests", "perfbench"):
             shutil.copytree(ROOT / part, work / part,
-                            ignore=shutil.ignore_patterns("__pycache__", ".pytest_cache"))
+                            ignore=shutil.ignore_patterns("__pycache__", ".pytest_cache", "out"))
         shutil.copy(ROOT / "pyproject.toml", work / "pyproject.toml")
-        target = work / CRITERIA
-        # the unmutated module goes through the same unparse as every mutant
-        target.write_text(ast.unparse(ast.parse(source)))
-        if run_tests(work) != "pass":
-            print("the unmutated copy fails its tests; no mutant was run")
+        # the unmutated modules go through the same unparse as every mutant
+        plain = {path: ast.unparse(ast.parse(source)) for path, source in sources.items()}
+        for path, text in plain.items():
+            (work / path).write_text(text)
+        if run_tests(work, tests) != "pass":
+            print(f"{name}: the unmutated copy fails its tests; no mutant was run")
             return 2
         survivors = []
-        for i, site in enumerate(sites):
-            text, label = mutant_source(source, site)
-            target.write_text(text)
+        for i, (path, site) in enumerate(mutants):
+            text, label = mutant_source(sources[path], site)
+            (work / path).write_text(text)
             start = time.perf_counter()
-            outcome = run_tests(work)
+            outcome = run_tests(work, tests)
+            (work / path).write_text(plain[path])
             verdict = "SURVIVED" if outcome == "pass" else f"killed ({outcome})"
-            print(f"{i:3d} {verdict:17s} {time.perf_counter() - start:6.1f}s  {label}", flush=True)
+            print(f"{name} {i:3d} {verdict:17s} {time.perf_counter() - start:6.1f}s  {label}",
+                  flush=True)
             if outcome == "pass":
                 survivors.append(label)
-    print(f"{len(sites)} mutants, {len(sites) - len(survivors)} killed, {len(survivors)} survived")
+    print(f"{name}: {len(mutants)} mutants, {len(mutants) - len(survivors)} killed, "
+          f"{len(survivors)} survived")
     for label in survivors:
         print(f"  survivor: {label}")
     return 1 if survivors else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--set", choices=list(SETS), help="run one set (default: every set)")
+    parser.add_argument("--list", action="store_true", help="print the mutants and stop")
+    args = parser.parse_args(argv)
+    names = [args.set] if args.set else list(SETS)
+    if args.list:
+        for name in names:
+            sources, mutants = set_mutants(name)
+            for i, (path, site) in enumerate(mutants):
+                print(f"{name} {i:3d} {mutant_source(sources[path], site)[1]}")
+        return 0
+    return max(run_set(name) for name in names)
 
 
 if __name__ == "__main__":
