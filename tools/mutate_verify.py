@@ -10,18 +10,18 @@ expression, or one filter of a comprehension.  The mutants are made
 with the standard-library ``ast`` module, written into a temporary copy
 of ``src``, ``tests``, ``perfbench`` and ``pyproject.toml``, and tested
 there against their set's test files, so the checkout itself is never
-touched.  A mutant that makes a test fail (or time out) is killed; one
-that passes every test survives, which means no test pins the check it
-changed.
+touched.  A mutant that makes a test fail (or time out, or outgrow the
+run's memory limit) is killed; one that passes every test survives, which
+means no test pins the check it changed.
 
 Run from anywhere:
 
-    python3 tools/mutate_verify.py               # every set, each against its tests
-    python3 tools/mutate_verify.py --set blend   # one set
-    python3 tools/mutate_verify.py --list        # print the mutants only
+    python3 tools/mutate_verify.py          # every set, each against its tests
+    python3 tools/mutate_verify.py --list   # print every set's mutants only
 
 It prints one line per mutant and a summary per set, and exits 1 when a
 mutant survives (2 when the unmutated copy already fails a set's tests).
+To run one set from Python, call ``run_set(name)``.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import ast
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -83,8 +84,14 @@ SETS = {
     },
 }
 
-#: Seconds before a mutant's test run is stopped and counted as killed.
-TIMEOUT_S = 300
+#: A mutant's test run is stopped and counted as killed after this many
+#: times the unmutated run's time, and never before TIMEOUT_FLOOR_S.
+TIMEOUT_FACTOR = 3
+TIMEOUT_FLOOR_S = 60
+
+#: The address space a test run may take, so that a mutant whose loop
+#: appends forever fails with ``MemoryError`` instead of filling memory.
+MEMORY_LIMIT_BYTES = 1 << 30
 
 #: Each comparison's negation, and for an order its boundary shift.
 COMPARE_SWAPS = {
@@ -196,16 +203,21 @@ def mutant_source(source: str, site: tuple) -> tuple[str, str]:
     return ast.unparse(ast.fix_missing_locations(tree)), f"{name}:{key[1]} {label}: {text}"
 
 
-def run_tests(workdir: Path, tests: tuple[str, ...]) -> str:
+def run_tests(workdir: Path, tests: tuple[str, ...], timeout: float | None = None) -> str:
     """'pass', 'fail' or 'timeout' for the run of ``tests`` in the copy.  No
     bytecode is cached, since a flipped operator leaves the module's size
     unchanged, and the copy's own ``src`` is the only one on the path."""
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT_BYTES, MEMORY_LIMIT_BYTES))
+
     cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
            "-o", "addopts=", *tests]
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     env["PYTHONDONTWRITEBYTECODE"] = "1"
     try:
-        done = subprocess.run(cmd, cwd=workdir, env=env, capture_output=True, timeout=TIMEOUT_S)
+        done = subprocess.run(cmd, cwd=workdir, env=env, capture_output=True, timeout=timeout,
+                              preexec_fn=limit_memory)
     except subprocess.TimeoutExpired:
         return "timeout"
     return "pass" if done.returncode == 0 else "fail"
@@ -237,15 +249,17 @@ def run_set(name: str) -> int:
         plain = {path: ast.unparse(ast.parse(source)) for path, source in sources.items()}
         for path, text in plain.items():
             (work / path).write_text(text)
+        start = time.perf_counter()
         if run_tests(work, tests) != "pass":
             print(f"{name}: the unmutated copy fails its tests; no mutant was run")
             return 2
+        timeout = max(TIMEOUT_FLOOR_S, TIMEOUT_FACTOR * (time.perf_counter() - start))
         survivors = []
         for i, (path, site) in enumerate(mutants):
             text, label = mutant_source(sources[path], site)
             (work / path).write_text(text)
             start = time.perf_counter()
-            outcome = run_tests(work, tests)
+            outcome = run_tests(work, tests, timeout)
             (work / path).write_text(plain[path])
             verdict = "SURVIVED" if outcome == "pass" else f"killed ({outcome})"
             print(f"{name} {i:3d} {verdict:17s} {time.perf_counter() - start:6.1f}s  {label}",
@@ -261,17 +275,15 @@ def run_set(name: str) -> int:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--set", choices=list(SETS), help="run one set (default: every set)")
     parser.add_argument("--list", action="store_true", help="print the mutants and stop")
     args = parser.parse_args(argv)
-    names = [args.set] if args.set else list(SETS)
     if args.list:
-        for name in names:
+        for name in SETS:
             sources, mutants = set_mutants(name)
             for i, (path, site) in enumerate(mutants):
                 print(f"{name} {i:3d} {mutant_source(sources[path], site)[1]}")
         return 0
-    return max(run_set(name) for name in names)
+    return max([run_set(name) for name in SETS])
 
 
 if __name__ == "__main__":
