@@ -15,7 +15,6 @@ from .abelian import (
     smith_normal_form,
 )
 from .autgroup import (
-    Automorphism,
     AutVSubgroup,
     Orbit,
     acts_trivially_on_lines,

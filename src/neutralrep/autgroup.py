@@ -1,12 +1,12 @@
 """Automorphisms of a finite abelian character group and their orbits.
 
-An automorphism is stored as its integer matrix alone: column j is the image
-of the j-th standard generator, entries of row i reduced mod d_i.  That form
-is canonical, feeds the mod-p line tests, and decides bijectivity without
-enumerating the group: a legal matrix is an automorphism exactly when, for
-every prime p, its rows on the p-divisible coordinates are independent mod p
-within each block of equal p-exponent (Hillar and Rhea, "Automorphisms of
-finite abelian groups", 2007).  An orbit is the tuple of its members'
+An automorphism is its integer row matrix, a tuple of rows: column j is the
+image of the j-th standard generator, entries of row i reduced mod d_i.  That
+form is canonical, feeds the mod-p line tests, and decides bijectivity
+without enumerating the group: a legal matrix is an automorphism exactly
+when, for every prime p, its rows on the p-divisible coordinates are
+independent mod p within each block of equal p-exponent (Hillar and Rhea,
+"Automorphisms of finite abelian groups", 2007).  An orbit is the tuple of its members'
 coordinates: no ``Character`` is built until a caller asks.
 
 The subgroup preserving an eigenspace-multiplicity map is found by a
@@ -36,12 +36,10 @@ columns, so r is evaluated once on the distinct columns of H and each r*h is
 picked from those images by index, with no matrix product.  The next
 representatives t*r read each generator t's images of points from a memo
 kept for the whole closure, so a point costs one product per generator.
-One driver serves ``close_group``, the closure that certificate replay
-filters, and AutV, whose backtrack leaves stream into it; it takes
-generators as row matrices and returns, beside the closure, the greedy
-generating subset as row matrices.  An :class:`Automorphism` is built only
-where a caller receives one: the elements ``close_group`` lists and AutV's
-greedy generators.
+One driver serves ``close_group``, the closure of Aut(G) that certificate
+replay filters, and AutV, whose backtrack leaves stream into it; it takes
+generators as row matrices and returns, beside the closure in column form,
+the greedy generating subset as row matrices.
 """
 
 from __future__ import annotations
@@ -58,48 +56,9 @@ from .abelian import DEFAULT_CAP, Character, FiniteAbelianGroup, _echelon_add, _
 from .errors import CapExceededError
 
 
-@dataclass(frozen=True)
-class Automorphism:
-    """An automorphism of a finite abelian group, stored as its reduced
-    matrix; it acts on character coordinates by the matrix-vector product."""
-
-    group: FiniteAbelianGroup
-    matrix: tuple[tuple[int, ...], ...]
-
-    @classmethod
-    def from_matrix(
-        cls, group: FiniteAbelianGroup, matrix: Sequence[Sequence[int]]
-    ) -> "Automorphism":
-        """Build from a k x k integer matrix; validates that the matrix
-        defines a well-defined bijective endomorphism."""
-        d = group.invariant_factors
-        k = len(d)
-        rows = tuple(
-            tuple(int(matrix[i][j]) % d[i] for j in range(k)) for i in range(k)
-        )
-        for i in range(k):
-            for j in range(k):
-                step = d[i] // math.gcd(d[i], d[j])
-                if rows[i][j] % step:
-                    raise ValueError(
-                        f"entry ({i},{j}) = {rows[i][j]} must be a multiple of "
-                        f"{step} for the map to respect generator orders"
-                    )
-        blocks = _mod_p_blocks(group)
-        for i, row in enumerate(rows):
-            if not _independence_test(blocks[i], rows)(row):
-                raise ValueError("matrix does not induce a bijection of the characters")
-        return cls(group, rows)
-
-    @classmethod
-    def identity(cls, group: FiniteAbelianGroup) -> "Automorphism":
-        k = group.rank
-        rows = tuple(tuple(1 if i == j else 0 for j in range(k)) for i in range(k))
-        return cls(group, rows)
-
-    def apply_coords(self, coords: Sequence[int]) -> tuple[int, ...]:
-        d = self.group.invariant_factors
-        return tuple([sum(map(mul, row, coords)) % di for row, di in zip(self.matrix, d)])
+def identity_matrix(k: int) -> tuple[tuple[int, ...], ...]:
+    """The k x k identity matrix as its rows, which are also its columns."""
+    return tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
 
 
 @lru_cache(maxsize=64)
@@ -172,52 +131,48 @@ def check_aut_order(group: FiniteAbelianGroup, cap: int) -> None:
         )
 
 
-def aut_generators(group: FiniteAbelianGroup) -> list[Automorphism]:
-    """A generating set for the full automorphism group: unit scalings of
-    each coordinate, the minimal legal transvections between coordinate
-    pairs, and swaps of coordinates with equal invariant factors.
+def aut_generators(group: FiniteAbelianGroup) -> list[tuple[tuple[int, ...], ...]]:
+    """A generating set for the full automorphism group, as row matrices:
+    unit scalings of each coordinate, then the minimal legal transvections
+    between coordinate pairs, each legal and bijective by construction.
 
-    Each is built as its reduced matrix, which is legal and bijective by
-    construction, so none is passed through :meth:`Automorphism.from_matrix`.
-    The list is deterministic; it can be empty (trivial group, Z/2).
+    No swap of coordinates is listed: when d_i = d_j the transvections
+    between i and j have entry 1, and E_ij(1) E_ji(-1) E_ij(1), with
+    E_ji(-1) a power of E_ji(1), followed by the scaling of coordinate j
+    by -1 is the swap, so the closure holds every swap already.  The list
+    is deterministic; it can be empty (trivial group, Z/2).
     """
     d = group.invariant_factors
     k = len(d)
-    ident = Automorphism.identity(group).matrix
+    ident = identity_matrix(k)
 
-    def changed(entries: dict[tuple[int, int], int]) -> Automorphism:
+    def changed(i: int, j: int, value: int) -> tuple[tuple[int, ...], ...]:
         rows = [list(row) for row in ident]
-        for (i, j), value in entries.items():
-            rows[i][j] = value
-        return Automorphism(group, tuple(map(tuple, rows)))
+        rows[i][j] = value
+        return tuple(map(tuple, rows))
 
-    pairs = [(i, j) for i in range(k) for j in range(k) if i != j]
-    units = [
-        {(i, i): u} for i in range(k) for u in range(2, d[i]) if math.gcd(u, d[i]) == 1
+    units = [changed(i, i, u) for i in range(k) for u in range(2, d[i]) if math.gcd(u, d[i]) == 1]
+    transvections = [
+        changed(i, j, d[i] // math.gcd(d[i], d[j])) for i in range(k) for j in range(k) if i != j
     ]
-    transvections = [{(i, j): d[i] // math.gcd(d[i], d[j])} for i, j in pairs]
-    swaps = [
-        {(i, i): 0, (j, j): 0, (i, j): 1, (j, i): 1}
-        for i, j in pairs
-        if i < j and d[i] == d[j]
-    ]
-    return [changed(entries) for entries in units + transvections + swaps]
+    return units + transvections
 
 
 def close_group(
-    gens: Sequence[Automorphism], cap: int = DEFAULT_CAP
-) -> list[Automorphism]:
-    """Closure of a nonempty generator list by coset enumeration (Dimino's
-    algorithm) on column form, listed one left coset at a time and starting
-    with the identity, in a deterministic order that is not lexicographic.
-    Raises :class:`CapExceededError` before listing a coset that would take
-    the subgroup past ``cap`` elements, that is, exactly when the closure
-    has more than ``cap`` elements."""
-    if not gens:
-        raise ValueError("need at least one automorphism to close over")
-    group = gens[0].group
-    columns, _ = _close_columns(group, [a.matrix for a in gens], cap)
-    return [Automorphism(group, tuple(zip(*cols))) for cols in columns]
+    group: FiniteAbelianGroup,
+    gens: Iterable[tuple[tuple[int, ...], ...]],
+    cap: int = DEFAULT_CAP,
+    extra: Sequence[tuple[int, ...]] = (),
+) -> list[tuple]:
+    """Closure of the row matrices ``gens`` (which may be empty) by coset
+    enumeration (Dimino's algorithm), in column form: each element is the
+    tuple of its columns, the images of the standard generators, followed
+    by its images of the ``extra`` points.  It is listed one left coset at
+    a time, starting with the identity, in a deterministic order that is
+    not lexicographic.  Raises :class:`CapExceededError` before listing a
+    coset that would take the subgroup past ``cap`` elements, that is,
+    exactly when the closure has more than ``cap`` elements."""
+    return _close_columns(group, gens, cap, extra)[0]
 
 
 def _close_columns(
@@ -226,16 +181,13 @@ def _close_columns(
     cap: int = DEFAULT_CAP,
     extra: Sequence[tuple[int, ...]] = (),
 ) -> tuple[list[tuple], list[tuple]]:
-    """``close_group`` in column form, with no :class:`Automorphism` built:
-    each element is the tuple of its columns, the images of the standard
-    generators, followed by its images of the ``extra`` points; and the
-    greedy generating subset, the members of the iterable ``gens`` of row
-    matrices (which may be empty) that lay outside the closure of those
-    before them."""
+    """``close_group``'s closure, and the greedy generating subset: the
+    members of ``gens`` that lay outside the closure of those before them,
+    as row matrices."""
     if cap < 1:
         raise ValueError("cap must be at least 1")
     # the identity matrix is its own column form
-    ident = Automorphism.identity(group).matrix + tuple(extra)
+    ident = identity_matrix(group.rank) + tuple(extra)
     elements, seen, memos = [ident], {ident}, []
     for s in gens:
         _extend_closure(elements, seen, memos, s, group.invariant_factors, cap)
@@ -324,14 +276,14 @@ class AutVSubgroup:
     characters of nonzero multiplicity, in coordinate order; every other
     character has multiplicity zero, so nothing sized |G| is kept.
     No element list is kept: ``order`` is |AutV|, and ``generator_subset``
-    holds each element that, in matrix order, lay outside the closure of
-    the ones before it (the greedy generating subset).
+    holds the row matrix of each element that, in matrix order, lay outside
+    the closure of the ones before it (the greedy generating subset).
     """
 
     group: FiniteAbelianGroup
     support: tuple[tuple[tuple[int, ...], int], ...]
     order: int
-    generator_subset: tuple[Automorphism, ...]
+    generator_subset: tuple[tuple[tuple[int, ...], ...], ...]
 
 
 def aut_v_subgroup(
@@ -348,8 +300,8 @@ def aut_v_subgroup(
     bijections that map each support character to one of the same
     multiplicity.  Such a bijection permutes each multiplicity class of the
     support, and the map vanishes off the support, so it preserves the map.
-    The leaves stream into one closure as row matrices; none is kept, and
-    only the greedy generators become :class:`Automorphism` objects.
+    The leaves stream into one closure as row matrices; none is kept but
+    the greedy generators.
 
     The computation lives on the character side.  Transporting to the point
     side is an anti-isomorphism, and since the computed subgroup is closed
@@ -369,7 +321,7 @@ def aut_v_subgroup(
         group=group,
         support=tuple(sorted(support.items())),
         order=len(elements),
-        generator_subset=tuple(Automorphism(group, rows) for rows in used),
+        generator_subset=tuple(used),
     )
 
 
@@ -477,7 +429,7 @@ def _orbits(
     multiplicity is not constant on an orbit."""
     group, mult = subgroup.group, dict(subgroup.support)
     d = group.invariant_factors
-    gens = [list(zip(a.matrix, d)) for a in subgroup.generator_subset]
+    gens = [list(zip(rows, d)) for rows in subgroup.generator_subset]
     zero = group.zero() if dets else None
     seen: set[tuple[int, ...]] = set()
     out = []
@@ -532,11 +484,14 @@ def orbit_partition(subgroup: AutVSubgroup) -> tuple[Orbit, ...]:
     return tuple(_orbits(subgroup, starts, dets=True))
 
 
-def induced_mod_p_matrix(a: Automorphism, p: int) -> list[list[int]]:
-    """The matrix induced on the F_p space G_p / p*G_p: the submatrix on the
-    p-divisible coordinates, reduced mod p."""
-    idxs = a.group.primary_part(p).indices
-    return [[a.matrix[i][j] % p for j in idxs] for i in idxs]
+def induced_mod_p_matrix(
+    group: FiniteAbelianGroup, matrix: Sequence[Sequence[int]], p: int
+) -> list[list[int]]:
+    """The matrix induced by the automorphism with rows ``matrix`` on the
+    F_p space G_p / p*G_p: the submatrix on the p-divisible coordinates,
+    reduced mod p."""
+    idxs = group.primary_part(p).indices
+    return [[matrix[i][j] % p for j in idxs] for i in idxs]
 
 
 def is_scalar_matrix_mod_p(matrix: Sequence[Sequence[int]], p: int) -> bool:
@@ -561,11 +516,9 @@ def acts_trivially_on_lines(subgroup: AutVSubgroup, p: int) -> bool:
     A linear map fixing every line of an F_p space is a scalar, and scalars
     are closed under composition, so checking the generators for scalar
     shape decides the whole subgroup.  With at most one p-divisible
-    coordinate there is at most one line and the action is always trivial.
+    coordinate every automorphism induces a scalar, so the answer is yes.
     """
-    if subgroup.group.p_rank(p) <= 1:
-        return True
     return all(
-        is_scalar_matrix_mod_p(induced_mod_p_matrix(a, p), p)
-        for a in subgroup.generator_subset
+        is_scalar_matrix_mod_p(induced_mod_p_matrix(subgroup.group, rows, p), p)
+        for rows in subgroup.generator_subset
     )

@@ -47,6 +47,7 @@ from .autgroup import (
     acts_trivially_on_lines,
     aut_generators,
     check_aut_order,
+    close_group,
     induced_mod_p_matrix,
 )
 from .errors import (
@@ -320,8 +321,8 @@ def check_lines_generators(
 
 def _generator_scalars(symmetries, p: int) -> list[dict]:
     out = []
-    for a in symmetries.generator_subset:
-        induced = induced_mod_p_matrix(a, p)
+    for rows in symmetries.generator_subset:
+        induced = induced_mod_p_matrix(symmetries.group, rows, p)
         out.append(
             {
                 "induced_matrix": induced,
@@ -550,8 +551,7 @@ def _recomputed_preserving_elements(V: Representation) -> list[tuple]:
     check_aut_order(group, DEFAULT_CAP)
     k = group.rank
     mult = {chi.coords: m for chi, m in V.entries}
-    gens = [a.matrix for a in aut_generators(group)]
-    closure, _ = _close_columns(group, gens, DEFAULT_CAP, tuple(mult))
+    closure = close_group(group, aut_generators(group), DEFAULT_CAP, tuple(mult))
     if not mult:  # the empty map is kept by every element
         return closure
     first, *rest = mult.values()

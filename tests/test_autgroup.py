@@ -15,15 +15,18 @@ from neutralrep import criteria as criteria_module
 from neutralrep import rep as rep_module
 from neutralrep.abelian import Character, FiniteAbelianGroup
 from neutralrep.autgroup import (
-    Automorphism,
     Orbit,
+    _candidate_rows,
     _close_columns,
+    _independence_test,
+    _mod_p_blocks,
     _preserving_matrices,
     acts_trivially_on_lines,
     aut_generators,
     aut_order,
     aut_v_subgroup,
     close_group,
+    identity_matrix,
     induced_mod_p_matrix,
     is_scalar_matrix_mod_p,
     orbit_partition,
@@ -39,25 +42,38 @@ from neutralrep.errors import CapExceededError
 from neutralrep.rep import Representation, blended_decomposition
 
 
+def row_matrices(closure):
+    """The row matrices of a column-form closure with no extra points."""
+    return [tuple(zip(*columns)) for columns in closure]
+
+
 def full_closure(group):
-    gens = aut_generators(group)
-    return close_group(gens) if gens else [Automorphism.identity(group)]
+    return row_matrices(close_group(group, aut_generators(group)))
 
 
 @functools.lru_cache(maxsize=None)
 def sorted_full_closure(factors):
-    return tuple(sorted(full_closure(FiniteAbelianGroup(factors)), key=lambda a: a.matrix))
+    return tuple(sorted(full_closure(FiniteAbelianGroup(factors))))
 
 
 def filtered_closure(group, mult_map):
     """AutV the old way: every element of the full closure that keeps the
     multiplicity of each support character, in matrix order."""
+    factors = group.invariant_factors
     support = {chi.coords: m for chi, m in mult_map.items() if m}
     return [
-        a.matrix
-        for a in sorted_full_closure(group.invariant_factors)
-        if all(support.get(a.apply_coords(c)) == m for c, m in support.items())
+        M
+        for M in sorted_full_closure(factors)
+        if all(support.get(oracles.apply_matrix(M, c, factors)) == m for c, m in support.items())
     ]
+
+
+def is_automorphism_matrix(group, M):
+    """The library's bijectivity criterion for a legal matrix: each row,
+    on the columns of each of its mod-p blocks, is independent of the rows
+    above it in that block."""
+    blocks = _mod_p_blocks(group)
+    return all(_independence_test(blocks[i], M)(row) for i, row in enumerate(M))
 
 
 def assert_aut_v_matches(group, mult_map):
@@ -68,8 +84,8 @@ def assert_aut_v_matches(group, mult_map):
     assert list(_preserving_matrices(group, support)) == expected
     sym = aut_v_subgroup(group, mult_map)
     assert sym.order == len(expected)
-    regenerated = close_group(list(sym.generator_subset) or [Automorphism.identity(group)])
-    assert sorted(a.matrix for a in regenerated) == expected
+    regenerated = close_group(group, sym.generator_subset)
+    assert sorted(row_matrices(regenerated)) == expected
 
 
 def test_generator_closure_counts():
@@ -81,14 +97,37 @@ def test_generator_closure_counts():
         assert len(oracles.automorphism_perms(factors)) == expected
 
 
+def invariant_factor_chains(low, high, max_rank):
+    """Every chain d_1 | d_2 | ... of at most ``max_rank`` invariant factors
+    in low..high, shortest first."""
+    chains, level = [], [()]
+    for _ in range(max_rank):
+        level = [c + (d,) for c in level for d in range(low, high + 1) if not c or d % c[-1] == 0]
+        chains += level
+    return chains
+
+
 def test_generators_reach_full_automorphism_group():
     cases = [(n,) for n in range(2, 17)] + [(2, 2), (2, 4), (3, 3)]
     for factors in cases:
         group = FiniteAbelianGroup(factors)
         closed = full_closure(group)
-        ours = {oracles.perm_of(a.matrix, factors) for a in closed}
+        ours = {oracles.perm_of(M, factors) for M in closed}
         assert ours == oracles.automorphism_perms(factors), factors
         assert aut_order(group) == len(closed), factors
+    # no generator has a zero diagonal entry, so none swaps coordinates, and
+    # the generators still reach |Aut(G)|, also on the 30 groups of the
+    # sweep with two equal invariant factors
+    sweep = [
+        f for f in invariant_factor_chains(2, 36, 4) if aut_order(FiniteAbelianGroup(f)) <= 10_000
+    ]
+    assert len(sweep) == 134
+    assert sum(len(set(f)) < len(f) for f in sweep) == 30
+    for factors in sweep:
+        group = FiniteAbelianGroup(factors)
+        gens = aut_generators(group)
+        assert all(all(M[i][i] for i in range(len(factors))) for M in gens), factors
+        assert len(close_group(group, gens)) == aut_order(group), factors
 
 
 def test_generators_reach_full_automorphism_group_higher_rank():
@@ -98,7 +137,7 @@ def test_generators_reach_full_automorphism_group_higher_rank():
     for factors, expected in cases:
         group = FiniteAbelianGroup(factors)
         closed = full_closure(group)
-        ours = {oracles.perm_of(a.matrix, factors) for a in closed}
+        ours = {oracles.perm_of(M, factors) for M in closed}
         assert len(ours) == expected
         assert ours == oracles.automorphism_perms(factors), factors
         assert aut_order(group) == len(closed) == expected, factors
@@ -106,12 +145,12 @@ def test_generators_reach_full_automorphism_group_higher_rank():
 
 def test_close_group_basics():
     g5 = FiniteAbelianGroup((5,))
-    ident = Automorphism.identity(g5)
-    assert close_group([ident]) == [ident]
-    negation = Automorphism.from_matrix(g5, [[4]])
-    closed = close_group([negation])
-    assert sorted(a.matrix for a in closed) == [((1,),), ((4,),)]
-    assert len(close_group(aut_generators(FiniteAbelianGroup((7,))))) == 6
+    ident = identity_matrix(1)
+    assert close_group(g5, [ident]) == close_group(g5, []) == [ident]
+    closed = close_group(g5, [((4,),)])  # negation
+    assert sorted(closed) == [((1,),), ((4,),)]
+    g7 = FiniteAbelianGroup((7,))
+    assert len(close_group(g7, aut_generators(g7))) == 6
     # no generators close to the identity, with nothing used
     assert _close_columns(g5, iter(())) == ([((1,),)], [])
     # random generator lists, with repeats and the identity mixed in, close
@@ -122,13 +161,13 @@ def test_close_group_basics():
         pool = aut_generators(group)
         for _ in range(6):
             picks = rng.sample(pool, k=rng.randint(1, min(4, len(pool))))
-            gens = picks + picks[:1] + [Automorphism.identity(group)]
+            gens = picks + picks[:1] + [identity_matrix(len(factors))]
             rng.shuffle(gens)
-            closed = close_group(gens)
-            assert len({a.matrix for a in closed}) == len(closed)
-            perms = [oracles.perm_of(a.matrix, factors) for a in gens]
+            closed = row_matrices(close_group(group, gens))
+            assert len(set(closed)) == len(closed)
+            perms = [oracles.perm_of(M, factors) for M in gens]
             expected = oracles.perm_closure(perms, group.order)
-            assert {oracles.perm_of(a.matrix, factors) for a in closed} == expected, (
+            assert {oracles.perm_of(M, factors) for M in closed} == expected, (
                 factors,
                 gens,
             )
@@ -155,7 +194,8 @@ def test_closure_takes_about_one_product_per_element(monkeypatch):
         ((97,), 96, 2 * 96),
     ]:
         products = 0
-        assert len(close_group(aut_generators(FiniteAbelianGroup(factors)))) == order
+        group = FiniteAbelianGroup(factors)
+        assert len(close_group(group, aut_generators(group))) == order
         assert 0 < products <= bound, (factors, products)
 
 
@@ -166,8 +206,8 @@ def test_close_columns_with_extra_points_matches_the_oracle():
     for factors in [(12,), (5,), (2, 2, 2), (3, 3), (2, 2, 4)]:
         group = FiniteAbelianGroup(factors)
         k, n = len(factors), group.order
-        ident = Automorphism.identity(group).matrix
-        pool = [a.matrix for a in aut_generators(group)]
+        ident = identity_matrix(k)
+        pool = aut_generators(group)
         tuples = oracles.all_coord_tuples(factors)
         for count in range(4):
             extra = tuple(rng.choice(tuples) for _ in range(count))
@@ -199,19 +239,18 @@ def test_close_columns_with_extra_points_matches_the_oracle():
 def test_close_group_cap():
     g5 = FiniteAbelianGroup((5,))
     with pytest.raises(CapExceededError):
-        close_group(aut_generators(g5), cap=2)
+        close_group(g5, aut_generators(g5), cap=2)
     # the identity closure fits in a cap of 1
-    assert len(close_group([Automorphism.identity(g5)], cap=1)) == 1
+    assert len(close_group(g5, [identity_matrix(1)], cap=1)) == 1
     with pytest.raises(ValueError):
-        close_group([], cap=10)
-    with pytest.raises(ValueError):
-        close_group([Automorphism.identity(g5)], cap=0)
+        close_group(g5, [identity_matrix(1)], cap=0)
     # the cap is exact: a closure fits a cap of its own size and no less
     for factors, order in [((2, 2, 2), 168), ((3, 3), 48), ((12,), 4), ((2, 4), 8)]:
-        gens = aut_generators(FiniteAbelianGroup(factors))
-        assert len(close_group(gens, cap=order)) == order
+        group = FiniteAbelianGroup(factors)
+        gens = aut_generators(group)
+        assert len(close_group(group, gens, cap=order)) == order
         with pytest.raises(CapExceededError):
-            close_group(gens, cap=order - 1)
+            close_group(group, gens, cap=order - 1)
 
 
 def test_greedy_generators_pick_exactly_the_new_elements():
@@ -220,33 +259,32 @@ def test_greedy_generators_pick_exactly_the_new_elements():
     rng = random.Random(8)
     for factors in [(12,), (2, 4), (3, 3), (2, 2, 2), (2, 2, 4)]:
         group = FiniteAbelianGroup(factors)
-        full = sorted(full_closure(group), key=lambda a: a.matrix)
-        perm = {a: oracles.perm_of(a.matrix, factors) for a in full}
+        full = sorted(full_closure(group))
+        perm = {M: oracles.perm_of(M, factors) for M in full}
         shuffled = rng.sample(full, k=len(full))
         for elements in (full, shuffled):
             expected, covered = [], oracles.perm_closure([], group.order)
-            for a in elements:
-                if perm[a] not in covered:
-                    expected.append(a)
-                    covered = oracles.perm_closure([perm[b] for b in expected], group.order)
-            matrices = [a.matrix for a in elements]
-            assert _close_columns(group, matrices)[1] == [a.matrix for a in expected], factors
+            for M in elements:
+                if perm[M] not in covered:
+                    expected.append(M)
+                    covered = oracles.perm_closure([perm[B] for B in expected], group.order)
+            assert _close_columns(group, elements)[1] == expected, factors
 
 
 def test_from_matrix_validation():
     g = FiniteAbelianGroup((2, 4))
-    # entry (1, 0) must be even: e_0 has order 2, its image must too
-    with pytest.raises(ValueError):
-        Automorphism.from_matrix(g, [[1, 0], [1, 1]])
-    with pytest.raises(ValueError):
-        Automorphism.from_matrix(FiniteAbelianGroup((4,)), [[2]])  # not bijective
-    a = Automorphism.from_matrix(g, [[1, 1], [2, 1]])
-    assert a.apply_coords((1, 1)) == ((1 + 1) % 2, (2 + 1) % 4)
+    # entry (1, 0) must be even: e_0 has order 2, its image must too, so no
+    # candidate row 1 has an odd first entry
+    assert _candidate_rows(g, 1) and all(row[0] % 2 == 0 for row in _candidate_rows(g, 1))
+    assert not is_automorphism_matrix(FiniteAbelianGroup((4,)), ((2,),))  # not bijective
+    M = ((1, 1), (2, 1))
+    assert is_automorphism_matrix(g, M)
+    assert oracles.apply_matrix(M, (1, 1), (2, 4)) == ((1 + 1) % 2, (2 + 1) % 4)
 
 
 def test_from_matrix_accepts_exactly_the_bijections():
-    # from_matrix decides by mod-p ranks; the oracle by the map each legal
-    # matrix induces on the enumerated characters
+    # the library decides by mod-p independence, row by row; the oracle by
+    # the map each legal matrix induces on the enumerated characters
     cases = [
         (2,), (4,), (6,), (12,), (2, 2), (2, 4), (2, 6), (3, 3),
         (2, 2, 2), (2, 2, 4), (4, 4), (2, 12),
@@ -257,11 +295,7 @@ def test_from_matrix_accepts_exactly_the_bijections():
         coords = oracles.all_coord_tuples(factors)
         for M in oracles.valid_endomorphism_matrices(factors):
             images = {oracles.apply_matrix(M, c, factors) for c in coords}
-            try:
-                Automorphism.from_matrix(group, M)
-                ours = True
-            except ValueError:
-                ours = False
+            ours = is_automorphism_matrix(group, M)
             assert ours == (len(images) == len(coords)), (factors, M)
             checked += 1
             accepted += ours
@@ -269,23 +303,23 @@ def test_from_matrix_accepts_exactly_the_bijections():
 
 
 def test_generators_are_legal_by_construction():
-    # aut_generators builds its matrices directly; from_matrix, which
-    # validates, must accept each one and give back the same automorphism
+    # aut_generators builds its matrices directly; each must be a reduced,
+    # legal and bijective matrix by the oracle's enumeration
     cases = [
         (2,), (4,), (6,), (12,), (2, 2), (2, 4), (2, 6), (3, 3),
         (2, 2, 2), (2, 2, 4), (4, 4), (2, 12),
     ]
     for factors in cases:
         group = FiniteAbelianGroup(factors)
-        for a in aut_generators(group):
-            assert Automorphism.from_matrix(group, a.matrix) == a, (factors, a.matrix)
+        for M in aut_generators(group):
+            assert M in oracles.automorphism_matrices(factors), (factors, M)
 
 
 def test_aut_v_subgroup_examples():
     g5 = FiniteAbelianGroup((5,))
     sym = aut_v_subgroup(g5, {g5.character((1,)): 1, g5.character((4,)): 1})
     assert sym.order == 2
-    assert [a.matrix for a in sym.generator_subset] == [((4,),)]
+    assert sym.generator_subset == (((4,),),)
     sym2 = aut_v_subgroup(g5, {g5.character((1,)): 1, g5.character((2,)): 1})
     assert sym2.order == 1
     g2 = FiniteAbelianGroup((2,))
@@ -356,7 +390,9 @@ def test_support_orbits_match_the_full_partition(data):
     drawn = [(tuples[i], m) for i, m in zip(indices, mults)]
     if data.draw(st.booleans()):
         drawn = [
-            (a.apply_coords(c), m) for c, m in drawn for a in sorted_full_closure(factors)
+            (oracles.apply_matrix(M, c, factors), m)
+            for c, m in drawn
+            for M in sorted_full_closure(factors)
         ]
     mult_map = {group.character(c): m for c, m in drawn}
     sym = aut_v_subgroup(group, mult_map)
@@ -393,10 +429,11 @@ def test_aut_v_subgroup_never_enumerates_aut_g(monkeypatch):
                 monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     rep_module.symmetry_of.cache_clear()
     group = FiniteAbelianGroup((3, 3, 3))
-    a = Automorphism.from_matrix(group, [[1, 1, 2], [1, 2, 1], [2, 1, 1]])
+    M = ((1, 1, 2), (1, 2, 1), (2, 1, 1))
+    assert is_automorphism_matrix(group, M)
     basis = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     V = Representation.from_multiplicities(
-        group, {a.apply_coords(e): m for e, m in zip(basis, (1, 2, 4))}
+        group, {oracles.apply_matrix(M, e, (3, 3, 3)): m for e, m in zip(basis, (1, 2, 4))}
     )
     assert all(all(chi.coords) for chi in V.support)
     report = neutrality_report(V)
@@ -423,8 +460,8 @@ def test_generator_subset_generates_elements():
                 g.character((5,)): 1, g.character((7,)): 1}
     sym = aut_v_subgroup(g, mult_map)
     assert sym.order == 4
-    regenerated = close_group(list(sym.generator_subset) or [Automorphism.identity(g)])
-    assert {oracles.perm_of(a.matrix, (8,)) for a in regenerated} == {
+    regenerated = row_matrices(close_group(g, sym.generator_subset))
+    assert {oracles.perm_of(M, (8,)) for M in regenerated} == {
         oracles.perm_of(m, (8,)) for m in filtered_closure(g, mult_map)
     }
 
@@ -478,9 +515,10 @@ def test_scalar_matrix_test_matches_literal_check():
 
 def test_induced_mod_p_matrix():
     g = FiniteAbelianGroup((2, 12))
-    a = Automorphism.from_matrix(g, [[1, 1], [6, 7]])
-    assert induced_mod_p_matrix(a, 2) == [[1, 1], [0, 1]]
-    assert induced_mod_p_matrix(a, 3) == [[1]]
+    M = ((1, 1), (6, 7))
+    assert is_automorphism_matrix(g, M)
+    assert induced_mod_p_matrix(g, M, 2) == [[1, 1], [0, 1]]
+    assert induced_mod_p_matrix(g, M, 3) == [[1]]
 
 
 def test_orbits_match_bruteforce_endomorphism_oracle():
@@ -539,7 +577,7 @@ def test_acts_trivially_matches_literal_element_check():
             sym = aut_v_subgroup(group, mult)
             for p in group.prime_divisors():
                 literal = all(
-                    oracles.fixes_all_lines(induced_mod_p_matrix(Automorphism(group, m), p), p)
+                    oracles.fixes_all_lines(induced_mod_p_matrix(group, m, p), p)
                     for m in filtered_closure(group, mult)
                 )
                 assert acts_trivially_on_lines(sym, p) == literal, (factors, p)

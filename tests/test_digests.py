@@ -39,8 +39,8 @@ SEARCH_SHA256 = {
     ("60", "2", False): "b8de020c4e208b4e925ea9bfed3f9110bf2c2682997ec56828c50255157d0100",
     ("60", "2", True): "9d7fc61785e35e0d9041b112f9e81536f0e20f15692157cf509edcf58bf9c988",
 }
-# the matrices ``close_group(aut_generators(G))`` lists, in order, one JSON
-# line each
+# the row matrices of the elements ``close_group(G, aut_generators(G))``
+# lists in column form, in order, one JSON line each
 CLOSE_GROUP_SHA256 = {
     (2, 2, 2, 2): "ba584f3c4d6c332938527f32a14217e588f8e494b92b19f6aaa5b524936e6d6f",
     (3, 3, 3): "26a4736d3f5a10ef8c4813014075ed2294e483ba231ca0429cd43d95d5258294",
@@ -133,6 +133,7 @@ def test_search_bytes_match_pinned_digest(n, max_dim, as_json):
 
 @pytest.mark.parametrize("factors", list(CLOSE_GROUP_SHA256))
 def test_close_group_order_matches_pinned_digest(factors):
-    closed = close_group(aut_generators(FiniteAbelianGroup(factors)))
-    text = "\n".join(json.dumps(a.matrix) for a in closed)
+    group = FiniteAbelianGroup(factors)
+    closed = close_group(group, aut_generators(group))
+    text = "\n".join(json.dumps(tuple(zip(*columns))) for columns in closed)
     assert _sha256(text) == CLOSE_GROUP_SHA256[factors]

@@ -182,9 +182,9 @@ def test_blended_dimension_identity_and_invariance():
             # the determinant character of every orbit is fixed by each
             # generator of the multiplicity-preserving subgroup, so by all of it
             for comp in bd.components:
-                for a in bd.symmetries.generator_subset:
+                for M in bd.symmetries.generator_subset:
                     det = comp.det_character.coords
-                    assert a.apply_coords(det) == det
+                    assert oracles.apply_matrix(M, det, factors) == det
 
 
 def test_rep_from_input_examples():

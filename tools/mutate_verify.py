@@ -1,6 +1,8 @@
 """Mutation runs over sets of target functions: the certificate-replay
-(verify) functions of criteria.py, and the blend path's orbit walk and
-decomposition in autgroup.py and rep.py.
+(verify) functions of criteria.py; the blend path's orbit walk and
+decomposition in autgroup.py and rep.py; and the checker's automorphism
+layer in autgroup.py (|Aut(G)|, its generators and closure, the AutV
+backtrack and the mod-p line tests).
 
 Each mutant changes one thing in one target function: it flips or shifts
 one comparison, swaps one ``and``/``or``, drops one term of a condition,
@@ -80,6 +82,31 @@ SETS = {
             "tests/test_digests.py",
             "tests/test_perfbench_layers.py",
             "tests/test_autgroup.py",
+        ),
+    },
+    "aut": {
+        "targets": {
+            "src/neutralrep/autgroup.py": (
+                "aut_generators",
+                "close_group",
+                "_close_columns",
+                "_extend_closure",
+                "aut_v_subgroup",
+                "_candidate_rows",
+                "_preserving_matrices",
+                "_mod_p_blocks",
+                "_independence_test",
+                "induced_mod_p_matrix",
+                "is_scalar_matrix_mod_p",
+                "acts_trivially_on_lines",
+                "aut_order",
+                "check_aut_order",
+            ),
+        },
+        "tests": (
+            "tests/test_digests.py",
+            "tests/test_autgroup.py",
+            "tests/test_criteria.py",
         ),
     },
 }
