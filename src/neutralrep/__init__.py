@@ -6,7 +6,6 @@ from .abelian import (
     Character,
     FiniteAbelianGroup,
     PrimaryPart,
-    Subgroup,
     generates,
     is_prime,
     mod_p_image,
@@ -53,7 +52,6 @@ from .rep import (
     BlendedDecomposition,
     Representation,
     blended_decomposition,
-    fixed_dim,
     is_faithful,
     pseudoreflections,
     rep_from_input,

@@ -6,8 +6,8 @@ A group is stored canonically by its invariant factors d_1 | d_2 | ... | d_k
 a :class:`Character` pairs a tuple with its group only where a character
 is read in or handed out, and it has no arithmetic.  On top of that the
 module provides Smith normal form over the integers, construction from
-relation matrices, primary parts and mod-p reductions, and subgroup
-generation / membership tests.
+relation matrices, primary parts and mod-p reductions, and the test of
+whether a set of characters generates the group.
 
 All types are immutable after construction and all operations are pure, so
 values can be shared freely across concurrent tasks.
@@ -299,13 +299,6 @@ class FiniteAbelianGroup:
         """Number of invariant factors divisible by p."""
         return sum(1 for d in self.invariant_factors if d % p == 0)
 
-    def subgroup(self, generators: Iterable["Character"]) -> "Subgroup":
-        gens = tuple(generators)
-        for g in gens:
-            if g.group != self:
-                raise ValueError("subgroup generators must belong to this group")
-        return Subgroup(gens, self)
-
 
 # Prime divisors and primary parts depend only on the group's value, so
 # equal groups built separately share them; each group also keeps its own
@@ -411,13 +404,11 @@ def rank_mod_p(vectors: Sequence[Sequence[int]], p: int) -> int:
     """Rank of a list of F_p row vectors.
 
     Each row joins the echelon basis of the rows before it when it is
-    independent of them (``_echelon_add``), and the scan stops once the
-    basis spans the whole row space.
+    independent of them (``_echelon_add``).
     """
     basis: list[tuple[int, list[int]]] = []
     for v in vectors:
-        if _echelon_add(v, basis, p) and len(basis) == len(v):
-            break
+        _echelon_add(v, basis, p)
     return len(basis)
 
 
@@ -431,23 +422,20 @@ def _reduce_mod_p(v: Sequence[int], basis: list[tuple[int, list[int]]], p: int) 
     return v
 
 
-def _echelon_add(v: Sequence[int], basis: list[tuple[int, list[int]]], p: int) -> bool:
+def _echelon_add(v: Sequence[int], basis: list[tuple[int, list[int]]], p: int) -> None:
     """One mod-p echelon step: reduce ``v`` against ``basis``, a list of
     (pivot column, row with 1 there) pairs in which every row is zero at
     the pivots chosen before its own, and append the remainder, scaled to 1
-    at its first nonzero entry, when it is not zero.  Returns whether ``v``
-    was independent of the basis."""
+    at its first nonzero entry, when it is not zero."""
     v = _reduce_mod_p(v, basis, p)
     pivot = next((j for j, x in enumerate(v) if x), None)
-    if pivot is None:
-        return False
-    inv = pow(v[pivot], -1, p)
-    basis.append((pivot, [x * inv % p for x in v]))
-    return True
+    if pivot is not None:
+        inv = pow(v[pivot], -1, p)
+        basis.append((pivot, [x * inv % p for x in v]))
 
 
 # ---------------------------------------------------------------------------
-# Subgroups: generation and membership
+# Generation
 # ---------------------------------------------------------------------------
 
 
@@ -461,7 +449,7 @@ def generates(elements: Iterable[Character], group: FiniteAbelianGroup) -> bool:
     """
     coords = []
     for chi in elements:
-        if chi.group is not group and chi.group != group:
+        if chi.group != group:
             raise ValueError("elements must belong to the given group")
         coords.append(chi.coords)
     for p in group.prime_divisors():
@@ -473,52 +461,3 @@ def generates(elements: Iterable[Character], group: FiniteAbelianGroup) -> bool:
         elif rank_mod_p([[c[i] for i in idx] for c in coords], p) < len(idx):
             return False
     return True
-
-
-@dataclass(frozen=True)
-class Subgroup:
-    """A subgroup of a character group, held by a generating set.
-
-    Membership is decided exactly by solving the defining linear system over
-    Z via Smith normal form, so it never enumerates the subgroup.
-    """
-
-    generators: tuple[Character, ...]
-    group: FiniteAbelianGroup
-
-    @cached_property
-    def _snf_data(self):
-        k = self.group.rank
-        d = self.group.invariant_factors
-        s = len(self.generators)
-        # columns: generator coordinates, then the relation lattice diag(d)
-        M = [
-            [self.generators[j].coords[i] for j in range(s)]
-            + [d[i] if j == i else 0 for j in range(k)]
-            for i in range(k)
-        ]
-        U, D, _ = smith_normal_form(M)
-        return U, [D[i][i] for i in range(k)]
-
-    def contains(self, chi: Character) -> bool:
-        if chi.group != self.group:
-            raise ValueError("character belongs to a different group")
-        k = self.group.rank
-        if k == 0:
-            return True
-        U, diag = self._snf_data
-        for i in range(k):
-            y = sum(U[i][j] * chi.coords[j] for j in range(k))
-            if diag[i] == 0:
-                if y != 0:
-                    return False
-            elif y % diag[i]:
-                return False
-        return True
-
-    @cached_property
-    def order(self) -> int:
-        if self.group.rank == 0:
-            return 1
-        _, diag = self._snf_data
-        return self.group.order // math.prod(diag)

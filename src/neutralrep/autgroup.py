@@ -331,9 +331,13 @@ def _candidate_rows(group: FiniteAbelianGroup, i: int) -> tuple[tuple[int, ...],
     their block for every prime p | d_i (nonzero mod p on its columns).  For
     a cyclic group these are the units."""
     d = group.invariant_factors
-    first = [(p, cols, ()) for p, cols, _ in _mod_p_blocks(group)[i]]
+    blocks = [(p, cols) for p, cols, _ in _mod_p_blocks(group)[i]]
     entries = [range(0, d[i], d[i] // math.gcd(d[i], dj)) for dj in d]
-    return tuple(filter(_independence_test(first, ()), itertools.product(*entries)))
+    return tuple(
+        row
+        for row in itertools.product(*entries)
+        if all(any(row[j] % p for j in cols) for p, cols in blocks)
+    )
 
 
 def _preserving_matrices(

@@ -36,7 +36,6 @@ from .abelian import (
     DEFAULT_CAP,
     Character,
     FiniteAbelianGroup,
-    Subgroup,
     is_prime_divisor,
     mod_p_image,
     primary_projection,
@@ -59,7 +58,6 @@ from .errors import (
 )
 from .rep import (
     Representation,
-    fixed_dim,
     is_faithful,
     is_int,
     is_int_list,
@@ -137,14 +135,15 @@ def _require_prime_divisor(group: FiniteAbelianGroup, p: int) -> None:
 def check_easy_cyclic(V: Representation, p: int) -> PrimeVerdict:
     """Cyclic groups: certified iff p does not divide
     dim V - dim V^(mu_p), the drop to the subspace fixed by the unique
-    subgroup of order p."""
+    subgroup of order p.  A character is trivial on mu_p exactly when its
+    image mod p vanishes, so dim V^(mu_p) is the multiplicity over those."""
     group = V.group
     if group.rank > 1:
         raise NotCyclicError(
             f"group has {group.rank} invariant factors; EasyCyclic needs a cyclic group"
         )
     _require_prime_divisor(group, p)
-    fixed = fixed_dim(V, _mu_p_vanishing_set(group, p))
+    fixed = sum(m for chi, m in V.entries if not any(mod_p_image(chi, p)))
     diff = V.dim - fixed
     if diff % p:
         witness = {"dim": V.dim, "fixed_dim": fixed}
@@ -157,12 +156,6 @@ def check_easy_cyclic(V: Representation, p: int) -> PrimeVerdict:
             f"is divisible by p = {p}",
         ),
     )
-
-
-@lru_cache(maxsize=64)
-def _mu_p_vanishing_set(group: FiniteAbelianGroup, p: int) -> Subgroup:
-    """The characters of a cyclic group trivial on mu_p: the multiples of p."""
-    return group.subgroup([group.character((p,))])
 
 
 def check_large_prime(V: Representation, p: int) -> PrimeVerdict:
@@ -320,15 +313,13 @@ def check_lines_generators(
 
 
 def _generator_scalars(symmetries, p: int) -> list[dict]:
+    """Each generator's induced matrix on the mod-p quotient, with its
+    corner entry as the scalar; p divides the group order, so the matrix is
+    never empty, and its entries are already reduced mod p."""
     out = []
     for rows in symmetries.generator_subset:
         induced = induced_mod_p_matrix(symmetries.group, rows, p)
-        out.append(
-            {
-                "induced_matrix": induced,
-                "scalar": induced[0][0] % p if induced else 1,
-            }
-        )
+        out.append({"induced_matrix": induced, "scalar": induced[0][0]})
     return out
 
 

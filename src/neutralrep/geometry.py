@@ -188,46 +188,3 @@ def curve_to_representation_note(instance: CurveInstance) -> ReductionNote:
         ),
         per_prime=tuple(per_prime),
     )
-
-
-def curve_instance_from_dict(doc) -> CurveInstance:
-    """Parse {"n": N, "genus": g, "quotient_genus": {"2": g2, ...}}."""
-    return CurveInstance(
-        n=_int_field(doc, "n"),
-        genus=_int_field(doc, "genus"),
-        quotient_genus=_prime_keyed(doc, "quotient_genus"),
-    )
-
-
-def marked_instance_from_dict(doc) -> MarkedInstance:
-    """Parse {"n": N, "dim": d, "fixed_dim": {"2": d2, ...}}."""
-    return MarkedInstance(
-        n=_int_field(doc, "n"),
-        dim=_int_field(doc, "dim"),
-        fixed_dim=_prime_keyed(doc, "fixed_dim"),
-    )
-
-
-def _int_field(doc, key):
-    if not isinstance(doc, dict) or key not in doc:
-        raise InvalidDimsError(f"missing required key {key!r}")
-    value = doc[key]
-    if not is_int(value):
-        raise InvalidDimsError(f"{key!r} must be an integer")
-    return value
-
-
-def _prime_keyed(doc, key):
-    raw = doc.get(key, {})
-    if not isinstance(raw, dict):
-        raise InvalidDimsError(f"{key!r} must be an object keyed by primes")
-    out = {}
-    for k, v in raw.items():
-        try:
-            p = int(k)
-        except (TypeError, ValueError):
-            raise InvalidDimsError(f"{key!r} key {k!r} is not an integer") from None
-        if not is_int(v):
-            raise InvalidDimsError(f"{key!r} value for {k!r} must be an integer")
-        out[p] = v
-    return out

@@ -2,10 +2,10 @@
 
 A representation of a diagonalizable group is determined by the dimensions
 of its eigenspaces, one per character.  Everything downstream works at that
-multiplicity level: fixed subspaces of subgroups are counted through the
-vanishing set of characters, pseudoreflections by scanning point tuples
-against the pre-scaled support characters, and no vector space over any
-particular field is ever materialized.
+multiplicity level: faithfulness is a generation test on the support,
+pseudoreflections are found by scanning point tuples against the
+pre-scaled support characters, and no vector space over any particular
+field is ever materialized.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .abelian import (
     DEFAULT_CAP,
     Character,
     FiniteAbelianGroup,
-    Subgroup,
     generates,
 )
 from .autgroup import (
@@ -95,16 +94,6 @@ class Representation:
 
     def multiplicities(self) -> dict[Character, int]:
         return {chi: m for chi, m in self.entries}
-
-
-def fixed_dim(V: Representation, vanishing_set: Subgroup) -> int:
-    """Dimension of the subspace fixed by the subgroup H whose vanishing set
-    of characters is given: a character is trivial on H exactly when it lies
-    in that subgroup of the character group, so dim V^H is the total
-    multiplicity over it."""
-    if vanishing_set.group != V.group:
-        raise ValueError("vanishing set lives in a different character group")
-    return sum(m for chi, m in V.entries if vanishing_set.contains(chi))
 
 
 @lru_cache(maxsize=1)

@@ -236,27 +236,6 @@ def all_groups(max_order, max_rank=None):
     return results
 
 
-def all_subgroups(factors):
-    """Every subgroup as a frozenset of coordinate tuples, found by closing
-    each known subgroup with each outside element until stable."""
-    elements = all_coord_tuples(factors)
-    zero = (0,) * len(factors)
-    trivial = frozenset({zero})
-    gens_of = {trivial: ()}
-    queue = [trivial]
-    while queue:
-        H = queue.pop()
-        for x in elements:
-            if x in H:
-                continue
-            gens = gens_of[H] + (x,)
-            closure = frozenset(closure_bruteforce(factors, gens))
-            if closure not in gens_of:
-                gens_of[closure] = gens
-                queue.append(closure)
-    return set(gens_of)
-
-
 def random_invertible_matrix(rng, r, p):
     """Uniform-ish random invertible r x r matrix over F_p by rejection."""
     while True:

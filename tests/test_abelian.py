@@ -162,19 +162,17 @@ def test_mod_p_image_vanishes_iff_projection_in_p_torsion():
     for factors in oracles.all_groups(36):
         group = FiniteAbelianGroup(factors)
         for p in group.prime_divisors():
-            pp = group.primary_part(p)
-            p_multiples = pp.group.subgroup(
-                [pp.group.character([p * a for a in c]) for c in _standard_basis(pp.group)]
+            pp_factors = group.primary_part(p).group.invariant_factors
+            p_multiples = oracles.closure_bruteforce(
+                pp_factors, [[p * a for a in c] for c in _standard_basis(len(pp_factors))]
             )
             for coords in oracles.all_coord_tuples(factors):
                 chi = group.character(coords)
                 image_zero = not any(mod_p_image(chi, p))
-                in_p_part = p_multiples.contains(pp.group.character(primary_projection(chi, p)))
-                assert image_zero == in_p_part
+                assert image_zero == (primary_projection(chi, p) in p_multiples)
 
 
-def _standard_basis(group):
-    k = group.rank
+def _standard_basis(k):
     return [tuple(1 if j == i else 0 for j in range(k)) for i in range(k)]
 
 
@@ -223,31 +221,6 @@ def test_generates_on_groups_too_large_to_enumerate():
     assert not generates([e1, g.character((0, 2))], g)
     assert not generates([e1, g.character((0, 5))], g)
     assert generates([e1, g.character((0, 7))], g)
-
-
-def test_subgroup_membership_examples():
-    g4 = FiniteAbelianGroup((4,))
-    H = g4.subgroup([g4.character((2,))])
-    assert H.contains(g4.character((2,)))
-    assert not H.contains(g4.character((1,)))
-    g22 = FiniteAbelianGroup((2, 2))
-    H2 = g22.subgroup([g22.character((1, 0))])
-    assert not H2.contains(g22.character((1, 1)))
-    assert H2.contains(g22.zero())
-
-
-def test_subgroup_membership_matches_closure():
-    rng = random.Random(7)
-    for factors in [(4,), (6,), (12,), (2, 4), (2, 6), (3, 9), (2, 2)]:
-        group = FiniteAbelianGroup(factors)
-        tuples = oracles.all_coord_tuples(factors)
-        for _ in range(10):
-            gens = [group.character(rng.choice(tuples)) for _ in range(rng.randint(0, 3))]
-            H = group.subgroup(gens)
-            closure = oracles.closure_bruteforce(factors, [g.coords for g in gens])
-            assert H.order == len(closure)
-            for coords in tuples:
-                assert H.contains(group.character(coords)) == (coords in closure)
 
 
 def test_primary_part_structure():

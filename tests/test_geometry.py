@@ -8,10 +8,8 @@ from neutralrep.geometry import (
     VERDICT_DEFINED,
     VERDICT_UNKNOWN,
     curve_check,
-    curve_instance_from_dict,
     curve_to_representation_note,
     marked_check,
-    marked_instance_from_dict,
 )
 from neutralrep.errors import (
     ExtraneousPrimeError,
@@ -107,13 +105,3 @@ def test_reduction_note():
     assert "silent" in silent.per_prime[0]
     assert "not a negative result" in silent.per_prime[0]
 
-
-def test_instance_parsing():
-    c = curve_instance_from_dict({"n": 6, "genus": 4, "quotient_genus": {"2": 1, "3": 2}})
-    assert c.n == 6 and c.quotient_genus == {2: 1, 3: 2}
-    m = marked_instance_from_dict({"n": 2, "dim": 1, "fixed_dim": {"2": 0}})
-    assert m.fixed_dim == {2: 0}
-    with pytest.raises(InvalidDimsError):
-        curve_instance_from_dict({"genus": 4})
-    with pytest.raises(InvalidDimsError):
-        marked_instance_from_dict({"n": 2, "dim": 1, "fixed_dim": {"x": 0}})

@@ -1,4 +1,4 @@
-"""Representations: dimensions, fixed subspaces, pseudoreflections, blends."""
+"""Representations: dimensions, faithfulness, pseudoreflections, blends."""
 
 import itertools
 import random
@@ -10,7 +10,6 @@ from neutralrep.abelian import FiniteAbelianGroup
 from neutralrep.rep import (
     Representation,
     blended_decomposition,
-    fixed_dim,
     is_faithful,
     pseudoreflections,
     rep_from_input,
@@ -49,34 +48,6 @@ def test_bool_multiplicity_is_refused():
     for m in (True, False):
         with pytest.raises(NonPositiveMultiplicityError):
             rep((8,), {(5,): m, (6,): 1, (7,): 1})
-
-
-def test_fixed_dim_examples():
-    V = rep((4,), {(1,): 1, (2,): 1})
-    K = V.group.subgroup([V.group.character((2,))])  # {0, 2}: trivial on mu_2
-    assert fixed_dim(V, K) == 1
-    whole = V.group.subgroup([V.group.character((1,))])
-    assert fixed_dim(V, whole) == V.dim
-    V2 = rep((2,), {(1,): 2})
-    assert fixed_dim(V2, V2.group.subgroup([])) == 0
-
-
-def test_fixed_dim_complement_identity():
-    # fixed_dim uses the SNF membership test; the complement sum uses the
-    # closure-enumerated subgroup, so equality exercises both routes
-    rng = random.Random(41)
-    for factors in oracles.all_groups(36):
-        group = FiniteAbelianGroup(factors)
-        tuples = oracles.all_coord_tuples(factors)
-        support = rng.sample(tuples, k=min(3, len(tuples)))
-        mult = {group.character(c): rng.randint(1, 3) for c in support}
-        V = Representation.from_multiplicities(group, mult)
-        for subgroup_set in oracles.all_subgroups(factors):
-            gens = [group.character(c) for c in subgroup_set]
-            H = group.subgroup(gens)
-            inside = fixed_dim(V, H)
-            outside = sum(m for chi, m in V.entries if chi.coords not in subgroup_set)
-            assert inside + outside == V.dim
 
 
 def test_is_faithful():

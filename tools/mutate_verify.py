@@ -1,8 +1,11 @@
 """Mutation runs over sets of target functions: the certificate-replay
 (verify) functions of criteria.py; the blend path's orbit walk and
-decomposition in autgroup.py and rep.py; and the checker's automorphism
+decomposition in autgroup.py and rep.py; the checker's automorphism
 layer in autgroup.py (|Aut(G)|, its generators and closure, the AutV
-backtrack and the mod-p line tests).
+backtrack and the mod-p line tests); and the checker's strategies in
+criteria.py with the representation and group arithmetic they read in
+rep.py and abelian.py (faithfulness, pseudoreflections, primes, mod-p
+images and ranks, generation).
 
 Each mutant changes one thing in one target function: it flips or shifts
 one comparison, swaps one ``and``/``or``, drops one term of a condition,
@@ -107,6 +110,41 @@ SETS = {
             "tests/test_digests.py",
             "tests/test_autgroup.py",
             "tests/test_criteria.py",
+        ),
+    },
+    "checker": {
+        "targets": {
+            "src/neutralrep/criteria.py": (
+                "check_easy_cyclic",
+                "check_large_prime",
+                "check_cyclic_general",
+                "_cyclic_general",
+                "check_lines_generators",
+                "_generator_scalars",
+                "check_prime",
+                "neutrality_report",
+            ),
+            "src/neutralrep/rep.py": ("is_faithful", "pseudoreflections"),
+            "src/neutralrep/abelian.py": (
+                "is_prime",
+                "is_prime_divisor",
+                "prime_factorization",
+                "generates",
+                "rank_mod_p",
+                "_reduce_mod_p",
+                "_echelon_add",
+                "primary_projection",
+                "mod_p_image",
+                "_primary_part",
+            ),
+        },
+        "tests": (
+            "tests/test_criteria.py",
+            "tests/test_abelian.py",
+            "tests/test_rep.py",
+            "tests/test_digests.py",
+            "tests/test_cli.py",
+            "tests/test_differential.py",
         ),
     },
 }
