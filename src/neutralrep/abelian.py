@@ -73,8 +73,9 @@ def prime_factorization(n: int) -> dict[int, int]:
 # ---------------------------------------------------------------------------
 
 
-def _identity_matrix(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+def identity_matrix(k: int) -> tuple[tuple[int, ...], ...]:
+    """The k x k identity matrix as its rows, which are also its columns."""
+    return tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
 
 
 def _min_abs_entry(A, t, m, n):
@@ -106,8 +107,8 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]):
     n = len(A[0]) if m else 0
     if any(len(row) != n for row in A):
         raise ValueError("matrix rows must all have the same length")
-    U = _identity_matrix(m)
-    W = _identity_matrix(n)
+    U = [list(row) for row in identity_matrix(m)]
+    W = [list(row) for row in identity_matrix(n)]
 
     def swap_rows(i, j):
         A[i], A[j] = A[j], A[i]

@@ -21,14 +21,12 @@ cap refuses the search before it starts.  The subgroup keeps the support
 alone, never a table over all |G| characters.
 
 Orbits come from one walk that applies the subgroup's generator matrices to
-coordinate tuples and sums each orbit as it closes it, so an :class:`Orbit`
-carries its sum as a plain field.  The walk builds each orbit in one step,
-a bare instance whose ``__dict__`` gets every field in one update, and on
-the blended decomposition's path that update carries the determinant
-character too.  The subgroup maps the support onto itself, so the orbits
-the criteria read, those of support characters, are walked from the
-support alone (``support_orbits``, which builds no ``Character``); only the
-blended decomposition walks all |G| characters (``orbit_partition``).
+coordinate tuples and sums each orbit as it closes it, so an :class:`Orbit`,
+a named tuple, carries its sum as a plain field.  The subgroup maps the
+support onto itself, so the orbits the criteria read, those of support
+characters, are walked from the support alone (``support_orbits``, which
+builds no ``Character``); only the blended decomposition walks all |G|
+characters (``orbit_partition``).
 
 Closures of generator lists are built one left coset r*H at a time
 (Dimino's algorithm), on column form: an element is the tuple of its
@@ -48,17 +46,19 @@ import itertools
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from operator import itemgetter, mul
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .abelian import DEFAULT_CAP, Character, FiniteAbelianGroup, _echelon_add, _reduce_mod_p
+from .abelian import (
+    DEFAULT_CAP,
+    Character,
+    FiniteAbelianGroup,
+    _echelon_add,
+    _reduce_mod_p,
+    identity_matrix,
+)
 from .errors import CapExceededError
-
-
-def identity_matrix(k: int) -> tuple[tuple[int, ...], ...]:
-    """The k x k identity matrix as its rows, which are also its columns."""
-    return tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
 
 
 @lru_cache(maxsize=64)
@@ -380,20 +380,12 @@ def _preserving_matrices(
         stack.extend(reversed(children))
 
 
-@dataclass(frozen=True)
-class Orbit:
+class Orbit(NamedTuple):
     """One orbit of characters, held as its members' coordinate tuples in
     lexicographic order, with their common eigenspace multiplicity d and
     ``sum_coords``, the coordinates of the orbit sum, which the walk that
-    found the orbit computed.  ``det_character`` is d times the orbit sum,
-    the determinant of the orbit's eigenspaces.
-
-    The walk builds each orbit in one step, filling the instance's
-    ``__dict__`` as ``cached_property`` does, so the generated ``__init__``
-    never runs; the orbit is still frozen, and compares and hashes like one
-    built through the constructor.  An orbit of ``orbit_partition`` arrives
-    with its ``det_character``; on any other orbit that is built on first
-    read, and ``characters`` always is."""
+    found the orbit computed.  ``characters`` and ``det_character`` build
+    their ``Character`` values on each read."""
 
     group: FiniteAbelianGroup
     members: tuple[tuple[int, ...], ...]
@@ -404,37 +396,31 @@ class Orbit:
     def size(self) -> int:
         return len(self.members)
 
-    @cached_property
+    @property
     def characters(self) -> tuple[Character, ...]:
         return tuple(Character(c, self.group) for c in self.members)
 
-    @cached_property
+    @property
     def det_character(self) -> Character:
-        """The group's shared zero when d = 0, with no product taken.
-        ``_orbits`` writes the same rule out for ``orbit_partition``."""
+        """The determinant of the orbit's eigenspaces, d times the orbit
+        sum: the group's shared zero when d = 0, with no product taken."""
         if not self.multiplicity:
             return self.group.zero()
         return self.group.character([self.multiplicity * a for a in self.sum_coords])
 
 
-def _orbits(
-    subgroup: AutVSubgroup, starts: Iterable[tuple[int, ...]], dets: bool = False
-) -> list[Orbit]:
+def _orbits(subgroup: AutVSubgroup, starts: Iterable[tuple[int, ...]]) -> list[Orbit]:
     """The orbit of each start point under the subgroup, each orbit once and
-    in the order of the first start that reaches it, with its sum, and with
-    ``dets`` its determinant character too: the group's shared zero for
-    multiplicity 0, with no product taken, and d times the sum otherwise.
+    in the order of the first start that reaches it, with its sum.
 
     The walk applies the generators' row matrices to coordinate tuples, one
     matrix-vector product per member and generator, as ``_images`` does.  A
     closed orbit is sorted and its columns summed; a singleton orbit is its
-    own sum.  Each :class:`Orbit` is a bare instance whose fields go into
-    its ``__dict__`` in one update.  Raises ``ValueError`` when the
-    multiplicity is not constant on an orbit."""
+    own sum.  Raises ``ValueError`` when the multiplicity is not constant
+    on an orbit."""
     group, mult = subgroup.group, dict(subgroup.support)
     d = group.invariant_factors
     gens = [list(zip(rows, d)) for rows in subgroup.generator_subset]
-    zero = group.zero() if dets else None
     seen: set[tuple[int, ...]] = set()
     out = []
     for start in starts:
@@ -459,15 +445,7 @@ def _orbits(
         else:
             members.sort()
             total = tuple([sum(c) % di for c, di in zip(zip(*members), d)])
-        orbit = object.__new__(Orbit)
-        fields = {"group": group, "members": tuple(members), "multiplicity": m, "sum_coords": total}
-        if dets:
-            # Orbit.det_character's rule, written out because a call per
-            # orbit made cold-groups blends about 7% slower; tests hold
-            # both copies to one oracle (test_autgroup.assert_orbit_data)
-            fields["det_character"] = group.character([m * a for a in total]) if m else zero
-        orbit.__dict__.update(fields)
-        out.append(orbit)
+        out.append(Orbit(group, tuple(members), m, total))
     return out
 
 
@@ -482,10 +460,9 @@ def support_orbits(subgroup: AutVSubgroup) -> dict[tuple[int, ...], Orbit]:
 def orbit_partition(subgroup: AutVSubgroup) -> tuple[Orbit, ...]:
     """Orbits of the whole character set under the subgroup, ordered by
     least member.  Walks all |G| characters; only the blended decomposition
-    needs the orbits off the support.  Every orbit comes with its
-    ``det_character`` built."""
+    needs the orbits off the support."""
     starts = itertools.product(*map(range, subgroup.group.invariant_factors))
-    return tuple(_orbits(subgroup, starts, dets=True))
+    return tuple(_orbits(subgroup, starts))
 
 
 def induced_mod_p_matrix(

@@ -492,7 +492,8 @@ def _verify_easy_cyclic(V: Representation, p: int, witness: dict) -> bool:
         raise MalformedCertificateError("EasyCyclic certificate for a non-cyclic group")
     _need_keys(witness, {"dim", "fixed_dim"})
     dim = sum(m for _, m in V.entries)
-    # direct count over all characters, independent of the SNF membership test
+    # chi is trivial on mu_p iff p divides its coordinate; read here
+    # directly, where the checker reads mod_p_image
     fixed = sum(m for chi, m in V.entries if chi.coords[0] % p == 0)
     if witness["dim"] != dim or witness["fixed_dim"] != fixed:
         return False
@@ -823,8 +824,12 @@ def report_from_dict(doc) -> NeutralityReport:
     if set(doc) != required:
         raise InputError(f"report keys {sorted(doc)} do not match {sorted(required)}")
     rep = rep_from_input({"group": doc["group"], "representation": doc["representation"]})
+    if not is_int(doc["dim"]):
+        raise InputError('"dim" must be an integer')
     if doc["dim"] != rep.dim:
         raise InputError(f"stored dim {doc['dim']} contradicts the entries ({rep.dim})")
+    if not isinstance(doc["primes"], list):
+        raise InputError('"primes" must be a list')
     verdicts = tuple(verdict_from_dict(v) for v in doc["primes"])
     derived = OVERALL_NEUTRAL if all(v.certified for v in verdicts) else OVERALL_UNKNOWN
     if doc["overall"] != derived:

@@ -68,22 +68,34 @@ class GeometryReport:
     assertions: tuple[str, ...]
 
 
-def _checked_prime_map(data: Mapping[int, int], n: int, what: str) -> dict[int, int]:
-    """Validate that per-prime data covers exactly the prime divisors of n.
-
-    Extra keys are rejected, never silently ignored; missing primes raise
-    the matching error type.
-    """
+def _check(n, top, data: Mapping[int, int], errors: tuple[type, type], names: tuple,
+           assertions: tuple[str, ...]) -> GeometryReport:
+    """The body of both checks: validate n, the ambient invariant ``top``
+    and its per-prime counterparts ``data``, then test the difference at
+    each prime divisor p of n.  ``names`` gives the invariant's name, its
+    least value and the counterpart's name for the messages of the first
+    of ``errors``, raised on a value out of range; the second is raised
+    with the first prime that has no entry.  Keys that are not prime
+    divisors of n are rejected before that, never silently ignored."""
+    invalid, missing = errors
+    name, least, part = names
+    if not is_int(n) or n < 1:
+        raise invalid(f"automorphism order n = {n!r} must be an integer >= 1")
+    if not is_int(top) or top < least:
+        raise invalid(f"{name} {top!r} must be an integer >= {least}")
     divisors = sorted(prime_factorization(n)) if n > 1 else []
     for key in data:
         if not isinstance(key, int) or not is_prime_divisor(key, n):
             raise ExtraneousPrimeError(key, n)
-    missing = [p for p in divisors if p not in data]
-    if missing:
-        if what == "quotient_genus":
-            raise MissingQuotientGenusError(missing[0])
-        raise MissingFixedDimError(missing[0])
-    return {p: data[p] for p in divisors}
+    absent = [p for p in divisors if p not in data]
+    if absent:
+        raise missing(absent[0])
+    for p in divisors:
+        if not is_int(data[p]) or data[p] < 0 or data[p] > top:
+            raise invalid(f"{part} {data[p]!r} at p = {p} must be an integer in [0, {top}]")
+    checks = tuple(PrimeDifference(p, top - data[p]) for p in divisors)
+    verdict = VERDICT_DEFINED if all(c.passes for c in checks) else VERDICT_UNKNOWN
+    return GeometryReport(verdict=verdict, checks=checks, assertions=assertions)
 
 
 def curve_check(instance: CurveInstance) -> GeometryReport:
@@ -94,26 +106,12 @@ def curve_check(instance: CurveInstance) -> GeometryReport:
     asserts that the automorphism group is exactly cyclic of order n, prime
     to the characteristic.
     """
-    n, g = instance.n, instance.genus
-    if not is_int(n) or n < 1:
-        raise InvalidGenusError(f"automorphism order n = {n!r} must be an integer >= 1")
-    if not is_int(g) or g < 2:
-        raise InvalidGenusError(f"genus {g!r} must be an integer >= 2")
-    data = _checked_prime_map(instance.quotient_genus, n, "quotient_genus")
-    for p, gp in data.items():
-        if not is_int(gp) or gp < 0 or gp > g:
-            raise InvalidGenusError(
-                f"quotient genus {gp!r} at p = {p} must be an integer in [0, {g}]"
-            )
-    checks = tuple(PrimeDifference(p, g - gp) for p, gp in data.items())
-    verdict = VERDICT_DEFINED if all(c.passes for c in checks) else VERDICT_UNKNOWN
-    return GeometryReport(
-        verdict=verdict,
-        checks=checks,
-        assertions=(
-            f"caller asserts: the full automorphism group is cyclic of order exactly {n}",
-            f"caller asserts: {n} is prime to the characteristic of the base field",
-        ),
+    n = instance.n
+    return _check(
+        n, instance.genus, instance.quotient_genus,
+        (InvalidGenusError, MissingQuotientGenusError), ("genus", 2, "quotient genus"),
+        (f"caller asserts: the full automorphism group is cyclic of order exactly {n}",
+         f"caller asserts: {n} is prime to the characteristic of the base field"),
     )
 
 
@@ -124,26 +122,12 @@ def marked_check(instance: MarkedInstance) -> GeometryReport:
     The caller asserts that the automorphism group of the pointed variety
     is mu_n and that the marked point is smooth.
     """
-    n, d = instance.n, instance.dim
-    if not is_int(n) or n < 1:
-        raise InvalidDimsError(f"automorphism order n = {n!r} must be an integer >= 1")
-    if not is_int(d) or d < 1:
-        raise InvalidDimsError(f"dimension {d!r} must be an integer >= 1")
-    data = _checked_prime_map(instance.fixed_dim, n, "fixed_dim")
-    for p, fp in data.items():
-        if not is_int(fp) or fp < 0 or fp > d:
-            raise InvalidDimsError(
-                f"fixed dimension {fp!r} at p = {p} must be an integer in [0, {d}]"
-            )
-    checks = tuple(PrimeDifference(p, d - fp) for p, fp in data.items())
-    verdict = VERDICT_DEFINED if all(c.passes for c in checks) else VERDICT_UNKNOWN
-    return GeometryReport(
-        verdict=verdict,
-        checks=checks,
-        assertions=(
-            f"caller asserts: the automorphism group of the pointed variety is mu_{n}",
-            "caller asserts: the marked point is a smooth point",
-        ),
+    n = instance.n
+    return _check(
+        n, instance.dim, instance.fixed_dim,
+        (InvalidDimsError, MissingFixedDimError), ("dimension", 1, "fixed dimension"),
+        (f"caller asserts: the automorphism group of the pointed variety is mu_{n}",
+         "caller asserts: the marked point is a smooth point"),
     )
 
 

@@ -181,10 +181,8 @@ def blended_decomposition(
     The subgroup comes from :func:`symmetry_of`, so a report on V before
     the blend leaves nothing to search; the partition of all |G| characters
     is walked here, once per call, and nowhere else.  The walk sums each
-    orbit as it closes it and builds the orbit in one step with its
-    determinant character, the group's one shared zero for a
-    multiplicity-0 orbit and d times the orbit sum otherwise, so a caller's
-    reads of ``det_character`` cost nothing.
+    orbit as it closes it; each orbit's ``det_character`` is built from
+    that sum when read.
     """
     symmetries, _ = symmetry_of(V, cap)
     return BlendedDecomposition(V, symmetries, orbit_partition(symmetries))

@@ -1,6 +1,5 @@
 """Automorphism closure, multiplicity-preserving subgroups, orbits, lines."""
 
-import dataclasses
 import functools
 import itertools
 import random
@@ -649,10 +648,13 @@ def test_orbit_sums_and_determinants_match_the_oracle():
 
 
 def test_support_orbits_build_no_character_and_blend_builds_every_determinant(monkeypatch):
+    # an orbit holds coordinate tuples; a Character is built only when
+    # ``characters`` or ``det_character`` is read, on every read
     group = FiniteAbelianGroup((2, 12))
     mult = {group.character(c): m for c, m in [((1, 1), 1), ((1, 5), 1), ((0, 3), 2)]}
     V = Representation.from_multiplicities(group, mult)
     sym = aut_v_subgroup(group, mult)
+    zero = group.zero()
     built = []
     post_init = Character.__post_init__
 
@@ -663,20 +665,20 @@ def test_support_orbits_build_no_character_and_blend_builds_every_determinant(mo
     monkeypatch.setattr(Character, "__post_init__", counted)
     orbits = support_orbits(sym)
     assert [orbit.sum_coords for orbit in orbits.values()] and built == []
-    monkeypatch.setattr(Character, "__post_init__", post_init)
-    decomposition = blended_decomposition(V)
-    monkeypatch.setattr(Character, "__post_init__", counted)
-    dets = [orbit.det_character for orbit in decomposition.components]
-    assert len(dets) == len(decomposition.components) and built == []
-    # the characters of an orbit stay lazy
-    assert not any("characters" in vars(orbit) for orbit in decomposition.components)
+    components = blended_decomposition(V).components
+    assert built == []
+    dets = [orbit.det_character for orbit in components]
+    # one product per orbit of nonzero multiplicity; the rest share the zero
+    assert built == [det.coords for det, o in zip(dets, components) if o.multiplicity]
+    assert all(det is zero for det, o in zip(dets, components) if not o.multiplicity)
+    del built[:]
+    characters = [orbit.characters for orbit in components]
+    assert len(built) == group.order == sum(map(len, characters))
 
 
 def test_walked_orbits_keep_the_orbit_contract():
-    # the walk fills each orbit's __dict__ instead of running the generated
-    # __init__; the orbit must still be frozen, equal to and hash like the
-    # one the constructor builds, print the same, and keep ``characters``
-    # lazy; only the partition's orbits arrive with their determinant
+    # a walked orbit is the named tuple its fields make: it equals, hashes
+    # and prints like the one built directly, and its fields are read-only
     group = FiniteAbelianGroup((2, 12))
     mult = {group.character(c): m for c, m in [((1, 1), 1), ((1, 5), 1), ((0, 3), 2)]}
     sym = aut_v_subgroup(group, mult)
@@ -687,13 +689,14 @@ def test_walked_orbits_keep_the_orbit_contract():
         built = Orbit(group, orbit.members, orbit.multiplicity, orbit.sum_coords)
         assert orbit == built and hash(orbit) == hash(built)
         assert repr(orbit) == repr(built)
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        assert tuple(orbit) == (group, orbit.members, orbit.multiplicity, orbit.sum_coords)
+        with pytest.raises(AttributeError):
             orbit.multiplicity = orbit.multiplicity + 1
-        assert "characters" not in vars(orbit)
+        with pytest.raises(AttributeError):
+            orbit.det_character = group.zero()
         assert orbit.characters == built.characters
-        assert "characters" in vars(orbit)
-    assert all("det_character" in vars(orbit) for orbit in partition)
-    assert not any("det_character" in vars(orbit) for orbit in on_support)
+        assert orbit.det_character == built.det_character
+        assert orbit.size == len(orbit.members)
 
 
 def test_multiplicity_constant_on_orbits():

@@ -159,6 +159,12 @@ def test_loosely_typed_stored_reports_are_refused():
         ("prime", "two", "non-integer prime 'two'"),
         ("prime", True, "non-integer prime True"),
         ("reasons", "xyz", '"reasons" must be a list of strings'),
+        ("dim", True, '"dim" must be an integer'),
+        ("dim", 2.0, '"dim" must be an integer'),
+        ("dim", "2", '"dim" must be an integer'),
+        ("primes", 5, '"primes" must be a list'),
+        ("primes", None, '"primes" must be a list'),
+        ("primes", {"prime": 2}, '"primes" must be a list'),
     ],
 )
 def test_each_loosely_typed_report_field_is_refused(field, value, message):

@@ -1,11 +1,11 @@
 """Mutation runs over sets of target functions: the certificate-replay
-(verify) functions of criteria.py; the blend path's orbit walk and
-decomposition in autgroup.py and rep.py; the checker's automorphism
-layer in autgroup.py (|Aut(G)|, its generators and closure, the AutV
-backtrack and the mod-p line tests); and the checker's strategies in
-criteria.py with the representation and group arithmetic they read in
-rep.py and abelian.py (faithfulness, pseudoreflections, primes, mod-p
-images and ranks, generation).
+(verify) functions of criteria.py; the blend path's orbit walk,
+determinant rule and decomposition in autgroup.py and rep.py; the
+checker's automorphism layer in autgroup.py (|Aut(G)|, its generators and
+closure, the AutV backtrack and the mod-p line tests); and the checker's
+strategies in criteria.py with the representation and group arithmetic
+they read in rep.py and abelian.py (faithfulness, pseudoreflections,
+primes, mod-p images and ranks, generation).
 
 Each mutant changes one thing in one target function: it flips or shifts
 one comparison, swaps one ``and``/``or``, drops one term of a condition,
@@ -74,7 +74,12 @@ SETS = {
     },
     "blend": {
         "targets": {
-            "src/neutralrep/autgroup.py": ("_orbits", "orbit_partition", "support_orbits"),
+            "src/neutralrep/autgroup.py": (
+                "_orbits",
+                "orbit_partition",
+                "support_orbits",
+                "Orbit.det_character",
+            ),
             "src/neutralrep/rep.py": (
                 "blended_decomposition",
                 "BlendedDecomposition.__post_init__",
