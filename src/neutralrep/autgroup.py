@@ -398,7 +398,7 @@ class Orbit(NamedTuple):
 
     @property
     def characters(self) -> tuple[Character, ...]:
-        return tuple(Character(c, self.group) for c in self.members)
+        return tuple([Character(c, self.group) for c in self.members])
 
     @property
     def det_character(self) -> Character:
