@@ -9,14 +9,19 @@ independent mod p within each block of equal p-exponent (Hillar and Rhea,
 "Automorphisms of finite abelian groups", 2007).  An orbit is the tuple of its members'
 coordinates: no ``Character`` is built until a caller asks.
 
-The subgroup preserving an eigenspace-multiplicity map is found by a
+The subgroup AutV preserving an eigenspace-multiplicity map is found on a
+cyclic group Z/n by arithmetic on units: a unit acts on the support through
+its residue mod L, the lcm of the support's orders, and the support
+character of largest order leaves that residue at most as many values as
+its multiplicity class has members, so the work is sized by the support
+and by |AutV|, not by the phi(n) units.  Above rank 1 it is found by a
 backtrack over matrix rows in lexicographic order, a set-stabilizer search
 in the style of Leon ("Permutation group algorithms based on partitions, I",
 1991): after row i the first i+1 image coordinates of every support
 character must begin a support character of the same multiplicity, and a
 row that breaks the mod-p independence is never tried, so every leaf is an
-automorphism that maps the support into itself.  Aut(G) is not listed to
-find it: its order comes from the Hillar-Rhea closed form, and the element
+automorphism that maps the support into itself.  Neither path lists
+Aut(G): its order comes from the Hillar-Rhea closed form, and the element
 cap refuses the search before it starts.  The subgroup keeps the support
 alone, never a table over all |G| characters.
 
@@ -35,9 +40,9 @@ picked from those images by index, with no matrix product.  The next
 representatives t*r read each generator t's images of points from a memo
 kept for the whole closure, so a point costs one product per generator.
 One driver serves ``close_group``, the closure of Aut(G) that certificate
-replay filters, and AutV, whose backtrack leaves stream into it; it takes
-generators as row matrices and returns, beside the closure in column form,
-the greedy generating subset as row matrices.
+replay filters, and AutV above rank 1, whose backtrack leaves stream into
+it; it takes generators as row matrices and returns, beside the closure in
+column form, the greedy generating subset as row matrices.
 """
 
 from __future__ import annotations
@@ -294,14 +299,17 @@ def aut_v_subgroup(
     """All automorphisms under which the multiplicity map is invariant.
 
     Raises :class:`CapExceededError` when |Aut(G)| exceeds ``cap``, before
-    any search and before anything sized |G| exists.  Otherwise the
-    elements are the leaves of a backtrack over matrix rows
-    (``_preserving_matrices``), in lexicographic order of their matrices:
+    any search and before anything sized |G| exists.  The elements are the
     bijections that map each support character to one of the same
     multiplicity.  Such a bijection permutes each multiplicity class of the
     support, and the map vanishes off the support, so it preserves the map.
-    The leaves stream into one closure as row matrices; none is kept but
-    the greedy generators.
+    On a cyclic group they are units found by arithmetic
+    (``_cyclic_aut_v``), which never lists the units it rules out.  Above
+    rank 1 they are the leaves of a backtrack over matrix rows
+    (``_preserving_matrices``), in lexicographic order of their matrices,
+    streamed into one closure as row matrices; none is kept but the greedy
+    generators.  Both paths give the same greedy generators, those of the
+    elements in matrix order.
 
     The computation lives on the character side.  Transporting to the point
     side is an anti-isomorphism, and since the computed subgroup is closed
@@ -316,20 +324,83 @@ def aut_v_subgroup(
         if m:
             support[chi.coords] = int(m)
     check_aut_order(group, cap)
-    elements, used = _close_columns(group, _preserving_matrices(group, support), cap)
+    if group.rank == 1:
+        order, used = _cyclic_aut_v(group, support)
+    else:
+        elements, used = _close_columns(group, _preserving_matrices(group, support), cap)
+        order = len(elements)
     return AutVSubgroup(
         group=group,
         support=tuple(sorted(support.items())),
-        order=len(elements),
+        order=order,
         generator_subset=tuple(used),
     )
+
+
+def _cyclic_aut_v(
+    group: FiniteAbelianGroup, support: Mapping[tuple[int, ...], int]
+) -> tuple[int, list[tuple[tuple[int, ...], ...]]]:
+    """|AutV| and its greedy generators on G = Z/n, by arithmetic on units.
+
+    A unit u acts on a character c of order n_c = n / g, g = gcd(c, n),
+    through u mod n_c, so it acts on the support through u mod L, L the
+    lcm of the support's orders: AutV is the preimage of AutV_L in
+    (Z/L)^x, and |AutV| = |AutV_L| phi(n) / phi(L), where phi(n) is
+    |Aut(G)|.  The support character c of largest order pins u mod n_c:
+    u c = s needs gcd(s, n) = g and forces u = (s/g) (c/g)^-1 mod n_c, one
+    residue per s of c's multiplicity.  Their lifts to L that are units
+    and map every support character to one of the same multiplicity are
+    AutV_L.
+
+    The generators are the backtrack's: the members of AutV in increasing
+    order, each kept when it lies outside the closure of those before it.
+    The closure is a set of units, grown by whole cosets, and the scan
+    stops when it holds |AutV| of them."""
+    n = group.invariant_factors[0]
+    classes: dict[int, set[int]] = {}
+    for (c,), m in support.items():
+        classes.setdefault(m, set()).add(c)
+    orders = {c: n // math.gcd(c, n) for (c,) in support}
+    lcm = math.lcm(*orders.values())
+    residues = [0]  # AutV_1, when the support is empty
+    if support:
+        top = max(orders, key=orders.get)
+        nt = orders[top]
+        g = n // nt
+        inverse = pow(top // g, -1, nt)
+        targets = [(c, classes[m]) for (c,), m in support.items()]
+        residues = sorted(
+            v
+            for s in classes[support[(top,)]]
+            if math.gcd(s, n) == g
+            for v in range(s // g * inverse % nt, lcm, nt)
+            if math.gcd(v, lcm) == 1 and all(v * c % n in cls for c, cls in targets)
+        )
+    phi_lcm = lcm  # phi(L), from the primes of n that divide L
+    for p in group.prime_divisors():
+        if lcm % p == 0:
+            phi_lcm = phi_lcm // p * (p - 1)
+    order = len(residues) * aut_order(group) // phi_lcm
+    lifts = (base + v for base in range(0, n, lcm) for v in residues)
+    members = (u for u in lifts if math.gcd(u, n) == 1)
+    closure, used = {1}, []
+    while len(closure) < order:
+        u = next(members)
+        if u not in closure:
+            used.append(((u,),))
+            coset, x = list(closure), u
+            while x not in closure:  # <H, u> is the union of the cosets u^k H
+                closure.update([x * h % n for h in coset])
+                x = x * u % n
+    return order, used
 
 
 @lru_cache(maxsize=256)
 def _candidate_rows(group: FiniteAbelianGroup, i: int) -> tuple[tuple[int, ...], ...]:
     """The legal rows i in lexicographic order, keeping those that can begin
-    their block for every prime p | d_i (nonzero mod p on its columns).  For
-    a cyclic group these are the units."""
+    their block for every prime p | d_i (nonzero mod p on its columns).
+    Only the row backtrack reads them, so ``aut_v_subgroup`` lists them
+    only above rank 1."""
     d = group.invariant_factors
     blocks = [(p, cols) for p, cols, _ in _mod_p_blocks(group)[i]]
     entries = [range(0, d[i], d[i] // math.gcd(d[i], dj)) for dj in d]

@@ -831,6 +831,9 @@ def report_from_dict(doc) -> NeutralityReport:
     if not isinstance(doc["primes"], list):
         raise InputError('"primes" must be a list')
     verdicts = tuple(verdict_from_dict(v) for v in doc["primes"])
+    primes, divisors = [v.prime for v in verdicts], list(rep.group.prime_divisors())
+    if primes != divisors:
+        raise InputError(f"stored primes {primes} are not the prime divisors {divisors} of |G|")
     derived = OVERALL_NEUTRAL if all(v.certified for v in verdicts) else OVERALL_UNKNOWN
     if doc["overall"] != derived:
         raise InputError(

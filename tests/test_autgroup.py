@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import math
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from neutralrep import criteria as criteria_module
 from neutralrep import rep as rep_module
 from neutralrep.abelian import Character, FiniteAbelianGroup
 from neutralrep.autgroup import (
+    AutVSubgroup,
     Orbit,
     _candidate_rows,
     _close_columns,
@@ -404,6 +406,55 @@ def test_support_orbits_match_the_full_partition(data):
         assert ours.size == full.size
         assert ours.multiplicity == full.multiplicity == mult_map[chi]
         assert ours.sum_coords == full.sum_coords
+
+
+def test_cyclic_arithmetic_matches_the_backtrack():
+    # on Z/n AutV comes by arithmetic on units; the row backtrack, closed by
+    # _close_columns, is its oracle for the order, the greedy generators and
+    # the support orbits.  The supports are the empty one, {1: 2}, seeded
+    # random ones and seeded unions of orbits of one unit, whose AutV often
+    # needs two generators or more
+    rng = random.Random(25)
+    checked = several = 0
+    for n in range(2, 201):
+        group = FiniteAbelianGroup((n,))
+        units = [u for u in range(1, n) if math.gcd(u, n) == 1]
+        supports = [{}, {(1,): 2}]
+        for _ in range(3):
+            chars = rng.sample(range(n), rng.randint(1, min(5, n)))
+            supports.append({(c,): rng.randint(1, 3) for c in chars})
+            w, closed = rng.choice(units), {}
+            for c in rng.sample(range(n), rng.randint(1, min(3, n))):
+                m, x = rng.randint(1, 3), c
+                while (x,) not in closed:
+                    closed[(x,)] = m
+                    x = x * w % n
+            supports.append(closed)
+        for support in supports:
+            sym = aut_v_subgroup(group, {group.character(c): m for c, m in support.items()})
+            elements, used = _close_columns(group, _preserving_matrices(group, support))
+            oracle = AutVSubgroup(group, sym.support, len(elements), tuple(used))
+            assert sym == oracle, (n, support)
+            assert support_orbits(sym) == support_orbits(oracle), (n, support)
+            checked += 1
+            several += len(used) > 1
+    assert (checked, several) == (1592, 399)
+
+
+def test_cyclic_aut_v_lists_no_unit_it_does_not_need(monkeypatch):
+    # Z/999,983 has 999,982 units; V = {1: 2} keeps only the identity and
+    # V = {1: 1, -1: 1} the identity and -1.  Neither lists candidate rows.
+    def refuse(*args):
+        raise AssertionError("the rank-1 path reached the row backtrack")
+
+    monkeypatch.setattr(autgroup, "_candidate_rows", refuse)
+    monkeypatch.setattr(autgroup, "_preserving_matrices", refuse)
+    n = 999_983
+    group = FiniteAbelianGroup((n,))
+    sym = aut_v_subgroup(group, {group.character((1,)): 2})
+    assert (sym.order, sym.generator_subset) == (1, ())
+    pair = aut_v_subgroup(group, {group.character((1,)): 1, group.character((n - 1,)): 1})
+    assert (pair.order, pair.generator_subset) == (2, (((n - 1,),),))
 
 
 def test_aut_v_subgroup_never_enumerates_aut_g(monkeypatch):

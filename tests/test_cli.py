@@ -140,6 +140,26 @@ def test_bools_in_stored_pseudoreflections_are_refused(c4_file, capsys):
     assert report_from_json(json.dumps(doc)).pseudoreflections == ((2,),)
 
 
+def test_stored_primes_must_be_the_prime_divisors_in_order():
+    # the sentinel rho + rho over Z/2 with no per-prime entry would read as
+    # neutral, since every one of no verdicts is certified
+    sentinel = report_to_dict(neutrality_report(rep_from_input(RHO2_DOC)))
+    z6 = rep_from_input({"group": {"invariant_factors": [6]},
+                         "representation": [{"character": [3], "multiplicity": 1}]})
+    doc = report_to_dict(neutrality_report(z6))
+    # p = 2 certifies by EasyCyclic and p = 3 stays unknown
+    assert [(v["prime"], v["verdict"]) for v in doc["primes"]] == [(2, "certified"), (3, "unknown")]
+    assert report_from_json(json.dumps(doc)) == neutrality_report(z6)
+    forged = [
+        {**sentinel, "primes": [], "overall": "neutral"},
+        {**doc, "primes": doc["primes"][:1], "overall": "neutral"},
+        {**doc, "primes": doc["primes"][::-1]},
+    ]
+    for bad in forged:
+        with pytest.raises(InputError, match=r"stored primes \[.*\] are not the prime divisors"):
+            report_from_json(json.dumps(bad))
+
+
 def test_loosely_typed_stored_reports_are_refused():
     doc = report_to_dict(neutrality_report(rep_from_input(RHO2_DOC)))
     report_from_json(json.dumps(doc))

@@ -2,7 +2,8 @@
 (verify) functions of criteria.py; the blend path's orbit walk,
 determinant rule and decomposition in autgroup.py and rep.py; the
 checker's automorphism layer in autgroup.py (|Aut(G)|, its generators and
-closure, the AutV backtrack and the mod-p line tests); and the checker's
+closure, AutV by arithmetic on cyclic groups and by the row backtrack
+above rank 1, and the mod-p line tests); and the checker's
 strategies in criteria.py with the representation and group arithmetic
 they read in rep.py and abelian.py (faithfulness, pseudoreflections,
 primes, mod-p images and ranks, generation).
@@ -100,6 +101,7 @@ SETS = {
                 "_close_columns",
                 "_extend_closure",
                 "aut_v_subgroup",
+                "_cyclic_aut_v",
                 "_candidate_rows",
                 "_preserving_matrices",
                 "_mod_p_blocks",
