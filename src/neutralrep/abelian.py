@@ -218,14 +218,12 @@ class FiniteAbelianGroup:
         k generators named by the columns.
 
         Raises :class:`InfiniteGroupError` when the cokernel has free rank,
-        i.e. when the relation matrix has rank < k.
+        i.e. when the relation matrix has rank < k, and ``ValueError`` from
+        :func:`smith_normal_form`, which reads the entries, on ragged rows.
         """
-        rows = [list(map(int, r)) for r in matrix]
-        k = len(rows[0]) if rows else 0
-        if any(len(r) != k for r in rows):
-            raise ValueError("relation rows must all have the same length")
-        _, D, _ = smith_normal_form(rows)
-        diag = [D[i][i] for i in range(min(len(rows), k))]
+        _, D, _ = smith_normal_form(matrix)
+        k = len(D[0]) if D else 0
+        diag = [D[i][i] for i in range(min(len(D), k))]
         if len(diag) < k or any(d == 0 for d in diag):
             raise InfiniteGroupError(
                 "relation matrix has rank below the number of generators"
@@ -257,7 +255,7 @@ class FiniteAbelianGroup:
 
     @cached_property
     def _prime_divisors(self) -> tuple[int, ...]:
-        return _prime_divisors(self.order)
+        return prime_divisors(self.order)
 
     def prime_divisors(self) -> tuple[int, ...]:
         return self._prime_divisors
@@ -307,8 +305,9 @@ class FiniteAbelianGroup:
 
 
 @lru_cache(maxsize=256)
-def _prime_divisors(order: int) -> tuple[int, ...]:
-    return tuple(sorted(prime_factorization(order))) if order > 1 else ()
+def prime_divisors(n: int) -> tuple[int, ...]:
+    """The primes dividing n >= 1, in increasing order (none for n = 1)."""
+    return tuple(sorted(prime_factorization(n)))
 
 
 @lru_cache(maxsize=1024)

@@ -20,6 +20,7 @@ from .criteria import (
     OVERALL_NEUTRAL,
     certificate_from_dict,
     check_prime,
+    compact_json,
     neutrality_report,
     report_to_json,
     verdict_to_dict,
@@ -145,10 +146,6 @@ def _load_representation(path) -> Representation:
     return rep_from_input(_load_json(path))
 
 
-def _dumps(obj) -> str:
-    return json.dumps(obj, separators=(",", ":"))
-
-
 def _format_multiplicities(V: Representation) -> str:
     if not V.entries:
         return "{}"
@@ -172,7 +169,7 @@ def _print_verdict(verdict) -> None:
     if verdict.certified:
         cert = verdict.certificate
         print(f"p = {verdict.prime}: CERTIFIED via {cert.strategy}")
-        print(f"  witness: {_dumps(cert.witness)}")
+        print(f"  witness: {compact_json(cert.witness)}")
     else:
         print(f"p = {verdict.prime}: UNKNOWN")
         for reason in verdict.reasons:
@@ -195,7 +192,7 @@ def cmd_check(args) -> int:
             )
         verdict = check_prime(V, p, cap)
         if args.json:
-            print(_dumps(verdict_to_dict(verdict)))
+            print(compact_json(verdict_to_dict(verdict)))
         else:
             _print_header(V)
             _print_verdict(verdict)
@@ -231,7 +228,7 @@ def cmd_blend(args) -> int:
     decomposition = blended_decomposition(V, cap)
     if args.json:
         print(
-            _dumps(
+            compact_json(
                 {
                     **rep_to_dict(V),
                     "symmetry_order": decomposition.symmetries.order,
@@ -324,16 +321,16 @@ def cmd_marked(args) -> int:
 
 
 def _extract_certificates(doc):
-    if isinstance(doc, dict) and "primes" in doc:
+    """The certificates of a report, of ``{"certificates": [...]}`` or of a
+    single verdict or certificate object; unknown verdicts are skipped."""
+    if not isinstance(doc, dict):
+        raise MalformedCertificateError("certificate document must be a JSON object")
+    if "primes" in doc:
         entries = doc["primes"]
-    elif isinstance(doc, dict) and "certificates" in doc:
+    elif "certificates" in doc:
         entries = doc["certificates"]
-    elif isinstance(doc, dict):
-        entries = [doc]
-    elif isinstance(doc, list):
-        entries = doc
     else:
-        raise MalformedCertificateError("certificate document shape not recognized")
+        entries = [doc]
     if not isinstance(entries, list):
         raise MalformedCertificateError("certificate entries must be a list")
     certs = []
@@ -410,7 +407,7 @@ def cmd_search(args) -> int:
             )
     if args.json:
         print(
-            _dumps(
+            compact_json(
                 {
                     "n": n,
                     "max_dim": max_dim,

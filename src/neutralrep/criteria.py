@@ -580,11 +580,7 @@ def _verify_cyclic_general(V: Representation, p: int, witness: dict) -> bool:
         },
     )
     coords = witness["character"]
-    if (
-        not isinstance(coords, list)
-        or len(coords) != group.rank
-        or not all(isinstance(a, int) for a in coords)
-    ):
+    if not (is_int_list(coords) and len(coords) == group.rank):
         raise MalformedCertificateError("witness character has the wrong shape")
     if witness["branch"] not in ("a", "b"):
         raise MalformedCertificateError(f"unknown branch {witness['branch']!r}")
@@ -859,8 +855,13 @@ def report_from_dict(doc) -> NeutralityReport:
     )
 
 
+def compact_json(obj) -> str:
+    """JSON with no whitespace, as every report, blend and search is written."""
+    return json.dumps(obj, separators=(",", ":"))
+
+
 def report_to_json(report: NeutralityReport) -> str:
-    return json.dumps(report_to_dict(report), separators=(",", ":"))
+    return compact_json(report_to_dict(report))
 
 
 def report_from_json(text: str) -> NeutralityReport:

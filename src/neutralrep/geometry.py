@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .abelian import is_prime_divisor, prime_factorization
+from .abelian import is_prime_divisor, prime_divisors
 from .errors import (
     ExtraneousPrimeError,
     InvalidDimsError,
@@ -83,7 +83,7 @@ def _check(n, top, data: Mapping[int, int], errors: tuple[type, type], names: tu
         raise invalid(f"automorphism order n = {n!r} must be an integer >= 1")
     if not is_int(top) or top < least:
         raise invalid(f"{name} {top!r} must be an integer >= {least}")
-    divisors = sorted(prime_factorization(n)) if n > 1 else []
+    divisors = prime_divisors(n)
     for key in data:
         if not isinstance(key, int) or not is_prime_divisor(key, n):
             raise ExtraneousPrimeError(key, n)
@@ -145,24 +145,17 @@ def curve_to_representation_note(instance: CurveInstance) -> ReductionNote:
     on the g-dimensional space of global 1-forms, the quotient genus equals
     the dimension of its H_p-fixed subspace, and the per-prime test is the
     cyclic dimension-difference criterion on that (otherwise unknown)
-    representation."""
-    n, g = instance.n, instance.genus
-    per_prime = []
-    for p in sorted(prime_factorization(n)) if n > 1 else []:
-        gp = instance.quotient_genus.get(p)
-        if gp is None:
-            per_prime.append(f"p = {p}: no quotient genus supplied")
-            continue
-        diff = g - gp
-        if diff % p:
-            per_prime.append(
-                f"p = {p}: induced check is {p} does not divide {diff}; certifies"
-            )
-        else:
-            per_prime.append(
-                f"p = {p}: difference {diff} is divisible by {p}; the criterion "
-                f"is silent here (not a negative result)"
-            )
+    representation.
+
+    The per-prime lines are read off ``curve_check(instance).checks``, so an
+    instance that :func:`curve_check` refuses raises the same error here."""
+    per_prime = tuple(
+        f"p = {c.prime}: induced check is {c.prime} does not divide {c.difference}; certifies"
+        if c.passes
+        else f"p = {c.prime}: difference {c.difference} is divisible by {c.prime}; "
+        f"the criterion is silent here (not a negative result)"
+        for c in curve_check(instance).checks
+    )
     return ReductionNote(
         summary=(
             "the genus equals the dimension of the space of global 1-forms and "
@@ -170,5 +163,5 @@ def curve_to_representation_note(instance: CurveInstance) -> ReductionNote:
             "subspace, so each per-prime test is the cyclic dimension-difference "
             "criterion applied to that representation"
         ),
-        per_prime=tuple(per_prime),
+        per_prime=per_prime,
     )

@@ -197,7 +197,8 @@ def rep_from_input(doc) -> Representation:
          "representation": [{"character": [...], "multiplicity": n}, ...]}
 
     Characters are reduced and the support is sorted; the errors name the
-    offending field.
+    offending field.  The multiplicities are checked by ``Representation``,
+    whose error names the character.
     """
     if not isinstance(doc, dict):
         raise InputError("input document must be a JSON object")
@@ -224,12 +225,7 @@ def rep_from_input(doc) -> Representation:
         coords = item["character"]
         if not is_int_list(coords):
             raise InputError(f"representation entry {pos}: character must be a list of integers")
-        m = item["multiplicity"]
-        if not is_int(m) or m < 1:
-            raise NonPositiveMultiplicityError(
-                f"representation entry {pos}: multiplicity must be an integer >= 1"
-            )
-        entries.append((group.character(coords), m))
+        entries.append((group.character(coords), item["multiplicity"]))
     return Representation(group, tuple(entries))
 
 

@@ -185,6 +185,10 @@ def test_loosely_typed_stored_reports_are_refused():
         ("primes", 5, '"primes" must be a list'),
         ("primes", None, '"primes" must be a list'),
         ("primes", {"prime": 2}, '"primes" must be a list'),
+        ("primes", [5], "per-prime entry must carry 'prime' and 'verdict'"),
+        ("primes", [{"verdict": "unknown"}], "per-prime entry must carry 'prime' and 'verdict'"),
+        ("primes", [{"prime": 2}], "per-prime entry must carry 'prime' and 'verdict'"),
+        ("pseudoreflections", {}, '"pseudoreflections" must be a list'),
     ],
 )
 def test_each_loosely_typed_report_field_is_refused(field, value, message):
@@ -259,6 +263,31 @@ def test_unreadable_documents_exit_2(c4_file, tmp_path, capsys, content):
         assert err.startswith(f"error: {bad}: "), argv
         # the message is about the file, not the interpreter's settings
         assert "set_int_max_str_digits" not in err, argv
+
+
+@pytest.mark.parametrize(
+    "group, entries, message",
+    [
+        ({"invariant_factors": [4], "relations": [[4]]}, [], "exactly one of the keys"),
+        (4, [], "exactly one of the keys"),
+        ({"invariant_factors": [4]}, [5], "representation entry 0 must be an object"),
+        ({"invariant_factors": [4]}, [{"character": [1], "multiplicity": 0}],
+         "multiplicity 0 for character (1) must be an integer >= 1"),
+        # the characters are read before any multiplicity is checked
+        ({"invariant_factors": [4]},
+         [{"character": [1], "multiplicity": 0}, {"character": [True], "multiplicity": 1}],
+         "representation entry 1: character must be a list of integers"),
+    ],
+    ids=["two-presentations", "integer-group", "integer-entry", "multiplicity-0",
+         "character-before-multiplicity"],
+)
+def test_malformed_documents_exit_2(tmp_path, capsys, group, entries, message):
+    # each is an input error, not a crash from reading a value of the wrong type
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps({"group": group, "representation": entries}))
+    assert main(["check", str(doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
 
 
 def test_ragged_relation_matrix_exits_2(c4_file, tmp_path, capsys):
@@ -370,6 +399,24 @@ def test_verify_roundtrip(c4_file, tmp_path, capsys):
     assert "VERIFIED" in out and "all certificates verified" in out
 
 
+def test_verify_summary_fails_on_any_invalid_certificate(c4_file, tmp_path, capsys):
+    assert main(["check", c4_file, "--prime", "2", "--json"]) == 0
+    genuine = json.loads(capsys.readouterr().out)
+    forged = {**genuine, "witness": {**genuine["witness"], "fixed_dim": 0}}
+    certfile = tmp_path / "certs.json"
+    certfile.write_text(json.dumps({"certificates": [genuine, genuine]}))
+    assert main(["verify", c4_file, str(certfile)]) == 0
+    assert capsys.readouterr().out.endswith("VERIFIED\nall certificates verified\n")
+    # the exit code is 0 either way, so the summary is what a script reads
+    for certs in ([forged, genuine], [genuine, forged]):
+        certfile.write_text(json.dumps({"certificates": certs}))
+        assert main(["verify", c4_file, str(certfile)]) == 0
+        out = capsys.readouterr().out
+        assert out.count("INVALID") == 1 and out.count("VERIFIED") == 1
+        assert out.endswith("\nsome certificates FAILED to verify\n")
+        assert "all certificates verified" not in out
+
+
 def test_verify_tampered_and_malformed(c4_file, tmp_path, capsys):
     assert main(["check", c4_file, "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -384,8 +431,10 @@ def test_verify_tampered_and_malformed(c4_file, tmp_path, capsys):
                                      "witness": {"dim": 2, "fixed_dim": 1}}))
     assert main(["verify", c4_file, str(malformed)]) == 2
 
-    # entry lists that are not lists are malformed documents, not crashes
-    for doc in ({"primes": 5}, {"certificates": None}):
+    # entry lists that are not lists, and entries and documents that are not
+    # objects (a bare list of certificates among them), are malformed, not crashes
+    entry = {"prime": 2, "strategy": "EasyCyclic", "witness": {"dim": 2, "fixed_dim": 1}}
+    for doc in ({"primes": 5}, {"certificates": None}, {"certificates": [5]}, [entry], 5):
         malformed.write_text(json.dumps(doc))
         assert main(["verify", c4_file, str(malformed)]) == 2
         assert "Traceback" not in capsys.readouterr().err

@@ -49,6 +49,18 @@ def test_curve_validation():
         curve_check(CurveInstance(n=2, genus=3, quotient_genus={2: 4}))
     with pytest.raises(InvalidGenusError):
         curve_check(CurveInstance(n=2, genus=3, quotient_genus={2: True}))
+    with pytest.raises(InvalidGenusError):
+        curve_check(CurveInstance(n=2, genus=3, quotient_genus={2: -1}))
+    with pytest.raises(InvalidGenusError):
+        curve_check(CurveInstance(n=0, genus=3, quotient_genus={}))
+    # 2.0 == 2 and hashes alike, but a key is a prime only as an integer
+    with pytest.raises(ExtraneousPrimeError):
+        curve_check(CurveInstance(n=2, genus=3, quotient_genus={2.0: 0}))
+    # a quotient genus may equal the genus: the difference 0 is silent at every p
+    report = curve_check(CurveInstance(n=6, genus=4, quotient_genus={2: 4, 3: 4}))
+    assert report.verdict == VERDICT_UNKNOWN
+    assert [(c.prime, c.difference, c.passes) for c in report.checks] == [
+        (2, 0, False), (3, 0, False)]
     # n = 1: vacuously defined over the field of moduli
     assert curve_check(CurveInstance(n=1, genus=2, quotient_genus={})).verdict == VERDICT_DEFINED
 
@@ -104,4 +116,8 @@ def test_reduction_note():
     )
     assert "silent" in silent.per_prime[0]
     assert "not a negative result" in silent.per_prime[0]
+
+    # the note reads curve_check's per-prime tests, so it refuses what they refuse
+    with pytest.raises(MissingQuotientGenusError):
+        curve_to_representation_note(CurveInstance(n=6, genus=4, quotient_genus={2: 1}))
 

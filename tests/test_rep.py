@@ -11,6 +11,7 @@ from neutralrep.rep import (
     Representation,
     blended_decomposition,
     is_faithful,
+    is_int_list,
     pseudoreflections,
     rep_from_input,
 )
@@ -188,11 +189,13 @@ def test_rep_from_input_examples():
             {"group": {"invariant_factors": [4]},
              "representation": [{"character": [1, 0], "multiplicity": 1}]}
         )
-    with pytest.raises(NonPositiveMultiplicityError):
-        rep_from_input(
-            {"group": {"invariant_factors": [4]},
-             "representation": [{"character": [1], "multiplicity": 0}]}
-        )
+    for m in (0, "1", 1.0, True):
+        with pytest.raises(NonPositiveMultiplicityError,
+                           match=rf"multiplicity {m!r} for character \(1\) must be"):
+            rep_from_input(
+                {"group": {"invariant_factors": [4]},
+                 "representation": [{"character": [5], "multiplicity": m}]}
+            )
 
 
 def test_rep_from_input_group_forms_and_schema_errors():
@@ -209,6 +212,11 @@ def test_rep_from_input_group_forms_and_schema_errors():
         rep_from_input({"group": {"invariant_factors": [12, 2]}, "representation": []})
     with pytest.raises(InputError):
         rep_from_input({"group": {}, "representation": []})
+    # an empty object is not a list, though it holds no non-integer
+    for key in ("invariant_factors", "relations"):
+        with pytest.raises(InputError, match=f'"{key}" must be a list of integer'):
+            rep_from_input({"group": {key: {}}, "representation": []})
+    assert not is_int_list({}) and not is_int_list((1, 2)) and is_int_list([1, 2])
     with pytest.raises(InputError):
         rep_from_input({"representation": []})
     with pytest.raises(InputError):

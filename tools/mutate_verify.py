@@ -6,7 +6,12 @@ closure, AutV by arithmetic on cyclic groups and by the row backtrack
 above rank 1, and the mod-p line tests); and the checker's
 strategies in criteria.py with the representation and group arithmetic
 they read in rep.py and abelian.py (faithfulness, pseudoreflections,
-primes, mod-p images and ranks, generation).
+primes, mod-p images and ranks, generation); and the input and report
+boundary (io): the readers and writers of documents and reports in
+rep.py and criteria.py, the CLI's argument and file readers and verify's
+summary in cli.py, the group constructors and Smith normal form in
+abelian.py, and the range checks of the field-of-moduli data in
+geometry.py.
 
 Each mutant changes one thing in one target function: it flips or shifts
 one comparison, swaps one ``and``/``or``, drops one term of a condition,
@@ -152,6 +157,53 @@ SETS = {
             "tests/test_digests.py",
             "tests/test_cli.py",
             "tests/test_differential.py",
+        ),
+    },
+    # Two io mutants of smith_normal_form survive and are equivalent:
+    # ``t < min(m, n)`` -> ``<=``, since _min_abs_entry finds no pivot once
+    # t reaches min(m, n); and ``A[t][t] < 0`` -> ``<=``, since the pivot is
+    # nonzero.
+    "io": {
+        "targets": {
+            "src/neutralrep/rep.py": (
+                "Representation.__post_init__",
+                "rep_from_input",
+                "is_int",
+                "is_int_list",
+                "group_from_input",
+                "rep_to_dict",
+            ),
+            "src/neutralrep/criteria.py": (
+                "verdict_to_dict",
+                "_is_str_list",
+                "verdict_from_dict",
+                "certificate_from_dict",
+                "report_to_dict",
+                "report_from_dict",
+            ),
+            "src/neutralrep/cli.py": (
+                "_checked_cap",
+                "_load_json",
+                "_parse_assignments",
+                "_extract_certificates",
+                "cmd_verify",
+                "_bounded_vectors",
+            ),
+            "src/neutralrep/abelian.py": (
+                "FiniteAbelianGroup.__post_init__",
+                "FiniteAbelianGroup.from_relations",
+                "Character.__post_init__",
+                "smith_normal_form",
+            ),
+            "src/neutralrep/geometry.py": ("_check",),
+        },
+        "tests": (
+            "tests/test_cli.py",
+            "tests/test_rep.py",
+            "tests/test_geometry.py",
+            "tests/test_abelian.py",
+            "tests/test_criteria.py",
+            "tests/test_digests.py",
         ),
     },
 }
