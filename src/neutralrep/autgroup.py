@@ -39,9 +39,11 @@ columns, so r is evaluated once on the distinct columns of H and each r*h is
 picked from those images by index, with no matrix product.  The next
 representatives t*r read each generator t's images of points from a memo
 kept for the whole closure, so a point costs one product per generator.
-One driver serves ``close_group``, the closure of Aut(G) that certificate
-replay filters, and AutV above rank 1, whose backtrack leaves stream into
-it; it takes generators as row matrices and returns, beside the closure in
+One driver serves ``close_group``, AutV above rank 1, whose backtrack
+leaves stream into it, and certificate replay's recomputation of a
+LinesAndGenerators witness's greedy generators; replay finds the
+automorphisms it reads by its own row search and never lists Aut(G).  The
+driver takes generators as row matrices and returns, beside the closure in
 column form, the greedy generating subset as row matrices.
 """
 

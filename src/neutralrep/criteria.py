@@ -18,18 +18,22 @@ Strategies, tried cheapest first:
   every line of the mod-p character quotient, and the qualifying characters
   restrict onto a generating set.
 
-``verify_certificate`` replays a certificate from scratch: closures are
-recomputed without caches, generation is decided by closure enumeration
-alone, line fixing is rechecked vector by vector, and orbits and line
-actions are read off the column form of the closure it builds.
+``verify_certificate`` replays a certificate from scratch: the
+multiplicity-preserving automorphisms are found by its own search over row
+matrices, without caches and without listing Aut(G), generation is decided
+by closure enumeration alone, line fixing is rechecked vector by vector,
+and orbits and line actions are read off the column form the search
+returns.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 from typing import Sequence
 
 from .abelian import (
@@ -44,9 +48,7 @@ from .abelian import (
 from .autgroup import (
     _close_columns,
     acts_trivially_on_lines,
-    aut_generators,
     check_aut_order,
-    close_group,
     induced_mod_p_matrix,
 )
 from .errors import (
@@ -426,9 +428,11 @@ def verify_certificate(V: Representation, cert: Certificate) -> bool:
 
     The code paths are deliberately different from the checkers': the fixed
     dimension is recounted by direct enumeration, generation is decided by
-    closure enumeration alone, line fixing is rechecked vector by vector
-    over every automorphism of a closure of Aut(G) rebuilt without the
-    per-group cache, and orbits and line actions are read off its columns.
+    closure enumeration alone, and line fixing is rechecked vector by vector
+    over every multiplicity-preserving automorphism, found by verify's own
+    search over row matrices without caches, which tests bijectivity on the
+    socles and never lists Aut(G); orbits and line actions are read off the
+    columns of what it finds.
 
     Raises :class:`MalformedCertificateError` when the certificate is
     structurally unusable (unknown strategy, prime not dividing the order,
@@ -534,24 +538,89 @@ def _verify_large_prime(V: Representation, p: int, witness: dict) -> bool:
 
 
 def _recomputed_preserving_elements(V: Representation) -> list[tuple]:
-    """The multiplicity-preserving automorphisms, rebuilt without caches, in
-    the closure's column form: each is its k columns, then its images of the
-    support characters in ``V.entries`` order.  A group whose |Aut(G)|
-    exceeds the cap is refused before any work.  The closure of Aut(G) is
-    filtered on the first support image before the rest, and not sorted."""
+    """The multiplicity-preserving automorphisms, found by a depth-first
+    search over row matrices with no cache, in column form: each is its k
+    columns, then its images of the support characters in ``V.entries``
+    order.  A group whose |Aut(G)| exceeds the cap is refused before the
+    search, which never lists Aut(G).
+
+    Row i runs over the legal rows, entry (i, j) a multiple of
+    d_i / gcd(d_i, d_j), and row i gives coordinate i of every image, so
+    after it the first i+1 image coordinates of each support character must
+    begin a support character of the same multiplicity.  A legal matrix is
+    bijective exactly when it is injective on each socle G[p], so row i is
+    kept only when, for each p | d_i, its row on G[p] over F_p is
+    independent of the socle rows above it (``_reduced_socle_rows``).  The
+    subtree below a row depends only on the support images and on the span
+    of the socle rows so far, so rows that agree on both are searched below
+    once, and the leaves under them are listed by product."""
     group = V.group
     check_aut_order(group, DEFAULT_CAP)
-    k = group.rank
-    mult = {chi.coords: m for chi, m in V.entries}
-    closure = close_group(group, aut_generators(group), DEFAULT_CAP, tuple(mult))
-    if not mult:  # the empty map is kept by every element
-        return closure
-    first, *rest = mult.values()
-    return [
-        images
-        for images in closure
-        if mult.get(images[k]) == first and list(map(mult.get, images[k + 1 :])) == rest
+    d = group.invariant_factors
+    k = len(d)
+    support = [(chi.coords, m) for chi, m in V.entries]
+    prefixes = [{(c[: i + 1], m) for c, m in support} for i in range(k)]
+    entries = [[range(0, di, di // math.gcd(di, dj)) for dj in d] for di in d]
+    # G[p] is spanned by (d_j / p) e_j for the j with p | d_j
+    socles = [
+        [(p, [(j, dj // p) for j, dj in enumerate(d) if dj % p == 0], di // p)
+         for p in group.prime_divisors() if di % p == 0]
+        for di in d
     ]
+    found = []
+
+    def descend(choices: tuple, images: tuple, bases: dict) -> None:
+        i = len(choices)
+        if i == k:
+            found.extend(tuple(zip(*rows)) + images for rows in itertools.product(*choices))
+            return
+        di, allowed, socle = d[i], prefixes[i], socles[i]
+        # rows that give the same images and, reduced by the socle rows
+        # above them, the same socle rows, lead to the same subtree, so each
+        # such class is descended once
+        classes: dict[tuple, list] = {}
+        for row in itertools.product(*entries[i]):
+            grown = []
+            for (c, m), image in zip(support, images):
+                image += (sum(map(mul, row, c)) % di,)
+                if (image, m) not in allowed:
+                    break
+                grown.append(image)
+            else:
+                reduced = _reduced_socle_rows(row, di, socle, bases)
+                if reduced is not None:
+                    classes.setdefault((tuple(grown), reduced), []).append(row)
+        for (grown, reduced), rows in classes.items():
+            extended = dict(bases)
+            for (p, _, _), r in zip(socle, reduced):
+                extended[p] = bases.get(p, ()) + (r,)
+            descend(choices + (rows,), grown, extended)
+
+    descend((), ((),) * len(support), {})
+    return found
+
+
+def _reduced_socle_rows(row: tuple, di: int, socle: list, bases: dict) -> tuple | None:
+    """Row i on each socle G[p], reduced over F_p by ``bases[p]``, the
+    echelon rows of the socle rows above it, each a (pivot, row) pair with a
+    1 at its pivot, and scaled to that form; None when one reduces to zero,
+    that is, depends on the rows above.  ``socle`` holds, for each p | d_i,
+    the columns j with p | d_j with d_j / p, and d_i / p: entry j of row i
+    on G[p] is coordinate i of the image of (d_j / p) e_j, row[j] (d_j / p)
+    mod d_i, divided by d_i / p."""
+    out = []
+    for p, columns, step in socle:
+        v = [row[j] * scale % di // step for j, scale in columns]
+        for pivot, b in bases.get(p, ()):
+            c = v[pivot]
+            if c:
+                v = [(x - c * y) % p for x, y in zip(v, b)]
+        pivot = next((j for j, x in enumerate(v) if x), None)
+        if pivot is None:
+            return None
+        inverse = pow(v[pivot], -1, p)
+        out.append((pivot, tuple([x * inverse % p for x in v])))
+    return tuple(out)
 
 
 def _orbit(V: Representation, elements: Sequence[tuple], j: int) -> tuple[set, Character]:
@@ -628,6 +697,13 @@ def _verify_lines_generators(V: Representation, p: int, witness: dict) -> bool:
         raise MalformedCertificateError("witness lists have the wrong shape")
     pp = group.primary_part(p)
     idx = pp.indices
+    # the qualifying characters are among these, so when these cannot
+    # generate, no search is needed; a capped group is still refused first
+    check_aut_order(group, DEFAULT_CAP)
+    if not _closure_generates(
+        pp.group, [primary_projection(chi, p) for chi, m in V.entries if m % p]
+    ):
+        return False
     elements = _recomputed_preserving_elements(V)
     # entry (i, j) of an element's matrix is coordinate i of its column j
     for images in elements:

@@ -686,6 +686,8 @@ def test_orbit_sums_and_determinants_match_the_oracle():
         for _ in range(12):
             support = rng.sample(tuples, k=rng.randint(1, min(6, len(tuples))))
             maps.append((factors, {c: rng.randint(1, 3) for c in support}))
+    # weak supports, which prune few rows of certificate replay's search
+    maps += [((8, 8), {(4, 4): 1}), ((2, 2, 4), {(0, 0, 2): 1})]
     groups = {}
     for factors, mult in maps:
         group = groups.setdefault(factors, FiniteAbelianGroup(factors))

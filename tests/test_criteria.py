@@ -180,10 +180,11 @@ def test_capped_cross_check_notes_nothing_when_another_strategy_certifies():
 
 
 def test_verify_refuses_before_it_enumerates(monkeypatch):
-    # verify closes Aut(G) at the default cap; |Aut((Z/5)^3)| = 1,488,000
-    # is over it, so the replay is refused before aut_generators runs
+    # verify refuses |Aut(G)| over the default cap; |Aut((Z/5)^3)| =
+    # 1,488,000 is over it, so the replay is refused before its row search
+    # tests a single row
     calls = []
-    monkeypatch.setattr(criteria_module, "aut_generators", lambda group: calls.append(group))
+    monkeypatch.setattr(criteria_module, "_reduced_socle_rows", lambda *args: calls.append(args))
     V = rep((5, 5, 5), {(1, 0, 0): 1, (0, 1, 0): 2, (0, 0, 1): 3})
     verdict = check_prime(V, 5, cap=2_000_000)
     assert verdict.certificate.strategy == STRATEGY_LINES_AND_GENERATORS

@@ -11,6 +11,7 @@ alone.
 
 import itertools
 import json
+import time
 
 import pytest
 
@@ -183,6 +184,17 @@ def test_empty_support_keeps_every_automorphism_and_is_refused(name):
     V = representation(factors, {})
     assert len(_recomputed_preserving_elements(V)) == order
     assert verify_certificate(V, forge()) is False
+
+
+@pytest.mark.parametrize("factors", [(2, 2, 2, 2), (4, 4, 4)])
+def test_empty_support_lines_certificate_is_refused_before_the_search(factors):
+    # |Aut(G)| = 20,160 and 86,016, all of which keep the empty map; no
+    # character restricts onto a generator, so no search is needed
+    witness = {"qualifying": [], "generator_scalars": []}
+    cert = Certificate(2, STRATEGY_LINES_AND_GENERATORS, witness)
+    start = time.perf_counter()
+    assert verify_certificate(representation(factors, {}), cert) is False
+    assert time.perf_counter() - start < 0.1
 
 
 # -- witness values that == would confuse with integers ----------------------

@@ -2,15 +2,19 @@
 certificate the checker makes replays, every single-field mutation of its
 witness is refused, and every report survives its JSON round trip."""
 
+import random
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from neutralrep import autgroup, criteria
 from neutralrep.abelian import FiniteAbelianGroup
 from neutralrep.criteria import (
     Certificate,
     STRATEGY_CYCLIC_GENERAL,
+    STRATEGY_LINES_AND_GENERATORS,
     neutrality_report,
     report_from_json,
     report_to_json,
@@ -117,3 +121,76 @@ def test_certificates_replay_and_mutations_are_refused(V):
             except (TypeError, ValueError, KeyError, IndexError, AttributeError) as exc:
                 pytest.fail(f"{type(exc).__name__} on {witness}: {exc}")
             assert accepted is False, (cert, witness)
+
+
+#: The checker's automorphism routines that replay must not call: Aut(G)'s
+#: generators and closure, and both AutV paths with the backtrack's rows
+#: and independence test.
+CHECKER_ONLY = (
+    "close_group",
+    "aut_generators",
+    "_preserving_matrices",
+    "_candidate_rows",
+    "_independence_test",
+    "_cyclic_aut_v",
+)
+
+
+def seeded_representations(count=300, seed=26):
+    """The property's maps, drawn from a seeded generator in place of
+    hypothesis, with the map above; as there, each group list is drawn from
+    half the time."""
+    rng = random.Random(seed)
+    reps = [NEGATION_ONLY]
+    for _ in range(count):
+        factors = rng.choice(rng.choice([CYCLIC, NONCYCLIC]))
+        tuples = oracles.all_coord_tuples(factors)
+        support = rng.sample(tuples, k=rng.randint(1, min(4, len(tuples))))
+        mult = {c: rng.randint(1, 3) for c in support}
+        if rng.random() < 0.5:
+            for c, m in list(mult.items()):
+                mult.setdefault(tuple(-x % d for x, d in zip(c, factors)), m)
+        reps.append(Representation.from_multiplicities(FiniteAbelianGroup(factors), mult))
+    return reps
+
+
+def test_replay_calls_none_of_the_checkers_automorphism_routines(monkeypatch):
+    certified = [
+        (V, verdict.certificate)
+        for V in seeded_representations()
+        for verdict in neutrality_report(V).verdicts
+        if verdict.certified
+    ]
+    strategies = {cert.strategy for _, cert in certified}
+    assert {STRATEGY_CYCLIC_GENERAL, STRATEGY_LINES_AND_GENERATORS} <= strategies
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("replay called a checker routine")
+
+    for name in CHECKER_ONLY:
+        # a name bound into criteria by import would escape the patch
+        assert not hasattr(criteria, name), name
+        monkeypatch.setattr(autgroup, name, refuse)
+    for V, cert in certified:
+        assert verify_certificate(V, cert), cert
+
+
+def test_replay_keeps_its_preserving_set_under_a_closure_fault(monkeypatch):
+    original = autgroup._extend_closure
+
+    def dropping_a_coset(elements, seen, memos, s, d, cap):
+        size = len(elements)
+        original(elements, seen, memos, s, d, cap)
+        if len(elements) > size:
+            seen.difference_update(elements[-size:])
+            del elements[-size:]
+
+    monkeypatch.setattr(autgroup, "_extend_closure", dropping_a_coset)
+    g22 = FiniteAbelianGroup((2, 2))
+    assert len(autgroup.close_group(g22, autgroup.aut_generators(g22))) < 6  # the fault is live
+    for V in seeded_representations(count=60, seed=27):
+        factors, k = V.group.invariant_factors, V.group.rank
+        mult = {chi.coords: m for chi, m in V.entries}
+        elements = criteria._recomputed_preserving_elements(V)
+        rows = sorted(tuple(zip(*images[:k])) for images in elements)
+        assert rows == oracles.preserving_matrices(factors, mult), (factors, mult)

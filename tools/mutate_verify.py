@@ -64,6 +64,7 @@ SETS = {
                 "_closure_generates",
                 "_verify_large_prime",
                 "_recomputed_preserving_elements",
+                "_reduced_socle_rows",
                 "_orbit",
                 "_verify_cyclic_general",
                 "_fixes_every_line",
