@@ -560,7 +560,7 @@ def _recomputed_preserving_elements(V: Representation) -> list[tuple]:
     k = len(d)
     support = [(chi.coords, m) for chi, m in V.entries]
     prefixes = [{(c[: i + 1], m) for c, m in support} for i in range(k)]
-    entries = [[range(0, di, di // math.gcd(di, dj)) for dj in d] for di in d]
+    legal = [[range(0, di, di // math.gcd(di, dj)) for dj in d] for di in d]
     # G[p] is spanned by (d_j / p) e_j for the j with p | d_j
     socles = [
         [(p, [(j, dj // p) for j, dj in enumerate(d) if dj % p == 0], di // p)
@@ -579,7 +579,7 @@ def _recomputed_preserving_elements(V: Representation) -> list[tuple]:
         # above them, the same socle rows, lead to the same subtree, so each
         # such class is descended once
         classes: dict[tuple, list] = {}
-        for row in itertools.product(*entries[i]):
+        for row in itertools.product(*legal[i]):
             grown = []
             for (c, m), image in zip(support, images):
                 image += (sum(map(mul, row, c)) % di,)
