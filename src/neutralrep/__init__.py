@@ -53,6 +53,7 @@ from .rep import (
     Representation,
     blended_decomposition,
     is_faithful,
+    pseudoreflection_count,
     pseudoreflections,
     rep_from_input,
 )

@@ -1,8 +1,9 @@
 """Command-line surface.
 
 Exit codes: 0 for any completed computation (an Unknown verdict is a result,
-not an error), 2 for schema or input problems, 3 when |Aut(G)| exceeds the
-element cap.
+not an error), 2 for schema or input problems, 3 when |Aut(G)| or the number
+of pseudoreflections a report would list exceeds the element cap, as in
+"error: 99 pseudoreflections exceed the element cap (10)".
 All I/O is UTF-8 JSON or plain text.
 """
 

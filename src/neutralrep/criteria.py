@@ -368,7 +368,9 @@ def neutrality_report(V: Representation, cap: int = DEFAULT_CAP) -> NeutralityRe
     divisor of the order exceeds dim V, which makes every prime certify via
     LargePrime on its own).  Diagnostic notes record when the cheap cyclic
     criterion certified without an orbit-based confirmation, and when the
-    two readings of the cyclic witness condition disagree.
+    two readings of the cyclic witness condition disagree.  Pseudoreflections
+    are counted before they are listed, and a count above ``cap`` raises
+    :class:`CapExceededError`.
     """
     group = V.group
     primes = group.prime_divisors()
@@ -411,7 +413,7 @@ def neutrality_report(V: Representation, cap: int = DEFAULT_CAP) -> NeutralityRe
         verdicts=tuple(verdicts),
         overall=overall,
         faithful=faithful,
-        pseudoreflections=tuple(pseudoreflections(V)),
+        pseudoreflections=tuple(pseudoreflections(V, cap=cap)),
         factorial_shortcut=factorial_shortcut,
         notes=tuple(notes),
     )

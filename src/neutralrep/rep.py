@@ -3,14 +3,15 @@
 A representation of a diagonalizable group is determined by the dimensions
 of its eigenspaces, one per character.  Everything downstream works at that
 multiplicity level: faithfulness is a generation test on the support,
-pseudoreflections are found by scanning point tuples against the
-pre-scaled support characters, and no vector space over any particular
-field is ever materialized.
+pseudoreflections are counted and listed from the residue classes of the
+last coordinate on which each support character pairs trivially, and no
+vector space over any particular field is ever materialized.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import mul
@@ -30,6 +31,7 @@ from .autgroup import (
     support_orbits,
 )
 from .errors import (
+    CapExceededError,
     DuplicateCharacterError,
     InputError,
     NonPositiveMultiplicityError,
@@ -118,33 +120,132 @@ def is_faithful(V: Representation) -> bool:
     return generates(list(V.support), V.group)
 
 
-def pseudoreflections(V: Representation) -> list[tuple[int, ...]]:
+def pseudoreflection_count(V: Representation) -> int:
+    """The number of points that :func:`pseudoreflections` lists, from the
+    same residue classes, without listing any point."""
+    return _pseudoreflection_classes(V, keep=-1)[0]
+
+
+def pseudoreflections(V: Representation, *, cap: int | None = None) -> list[tuple[int, ...]]:
     """All non-identity points of the group acting nontrivially on exactly a
     1-dimensional eigenspace (fixed subspace of codimension 1), as reduced
     coordinate tuples in lexicographic order.  A point g moves the eigenspace
     of a character a when sum_i a_i g_i (e/d_i) is nonzero mod the exponent
-    e, the root-of-unity pairing in integers; the support is scaled by e/d_i
-    once, and a point is dropped once it moves more than one dimension.
+    e, the root-of-unity pairing in integers.  The points are solved for one
+    prefix of the first k-1 coordinates at a time (see
+    ``_pseudoreflection_classes``), never scanned; with a ``cap``, a count
+    above it raises :class:`CapExceededError` before any point is listed.
 
     The combinatorial computation is unconditional; interpreting the result
     as geometric pseudoreflections assumes the group order is invertible in
     the intended base field.
     """
-    d, e = V.group.invariant_factors, V.group.exponent
-    scaled = [([a * (e // di) for a, di in zip(chi.coords, d)], m) for chi, m in V.entries]
-    points = itertools.product(*map(range, d))
-    next(points)  # the identity comes first and moves nothing
+    keep = math.inf if cap is None else cap
+    count, runs = _pseudoreflection_classes(V, keep)
+    if count > keep:
+        raise CapExceededError(
+            cap, f"{count} pseudoreflections exceed the element cap ({cap})", size=count
+        )
+    e = V.group.exponent
     out = []
-    for g in points:
-        moved = 0
-        for w, m in scaled:
-            if sum(map(mul, w, g)) % e:
-                moved += m
-                if moved > 1:
-                    break
-        if moved == 1:
-            out.append(g)
+    for prefix, progressions in runs:
+        xs = []
+        for r, m, own in progressions:
+            xs += range(r, e, m) if own is None else [
+                x for x in range(r, e, m) if (x - own[0]) % own[1]
+            ]
+        xs.sort()
+        out += [(*prefix, x) for x in xs]
     return out
+
+
+def _pseudoreflection_classes(V: Representation, keep: float) -> tuple[int, list]:
+    """The number of pseudoreflections, and while it stays within ``keep``
+    the residue classes of the last coordinate that hold them.
+
+    With the first k-1 coordinates fixed (a prefix), a support character
+    pairs with the point (prefix, x) as c + b x mod e, so it pairs trivially
+    exactly on one class r mod s, with s | e, or nowhere (None).  The points
+    that move only the eigenspace of a character chi of multiplicity 1 are
+    the meet of every other support character's class, minus chi's own; the
+    sets of different chi are disjoint.  Each prefix holding points gives
+    (prefix, [(r, m, own), ...]): x runs over r mod m, outside chi's class
+    ``own``.  Prefixes whose support classes agree share one computation.
+    """
+    d, e = V.group.invariant_factors, V.group.exponent
+    single = [m == 1 for _, m in V.entries]
+    if not d or True not in single:
+        return 0, []
+    # per support character: its prefix weights (map stops at the shorter
+    # scale, so b = the last coordinate gets none), g = gcd(b, e), s = e / g
+    # and the inverse of b / g modulo s
+    scale = [e // di for di in d[:-1]]
+    solvers = []
+    for chi, _ in V.entries:
+        b = chi.coords[-1]
+        g = math.gcd(b, e)
+        s = e // g
+        solvers.append((list(map(mul, chi.coords, scale)), g, s, pow(b // g, -1, s)))
+    count, runs, seen = 0, [], {}
+    for prefix in itertools.product(*map(range, d[:-1])):
+        classes = []
+        for w, g, s, inv in solvers:
+            c = sum(map(mul, w, prefix))
+            classes.append(None if c % g else (-(c // g) * inv % s, s))
+        classes = tuple(classes)
+        found = seen.get(classes)
+        if found is None:
+            found = seen[classes] = _prefix_points(classes, single, e)
+        n, progressions = found
+        if n:
+            count += n
+            if count <= keep:
+                runs.append((prefix, progressions))
+    return count, runs
+
+
+def _prefix_points(classes, single, e: int) -> tuple[int, list]:
+    """The number of last coordinates x in Z/e that make a pseudoreflection
+    under one prefix, whose support classes are ``classes``, and their
+    (r, m, own) progressions.  Characters of multiplicity 2 or more must
+    pair trivially, so their meet comes first and may end the search."""
+    fixed, free = (0, 1), []
+    for cls, one in zip(classes, single):
+        if one:
+            free.append(cls)
+        elif (fixed := _meet(fixed, cls)) is None:
+            return 0, []
+    n, progressions = 0, []
+    for j, own in enumerate(free):
+        meet = fixed
+        for other in free[:j] + free[j + 1 :]:
+            if (meet := _meet(meet, other)) is None:
+                break
+        else:
+            both = _meet(meet, own)
+            size = e // meet[1] - (e // both[1] if both else 0)
+            if size:
+                n += size
+                progressions.append((*meet, own))
+    return n, progressions
+
+
+def _meet(a, b):
+    """The meet of the residue class ``a`` = (r, s) with ``b``, by the
+    Chinese remainder theorem; None when ``b`` is None (no class) or the
+    meet is empty.  A class mod 1 is all of Z/e."""
+    if b is None:
+        return None
+    (r1, s1), (r2, s2) = a, b
+    if s1 == 1:
+        return b
+    if s2 == 1:
+        return a
+    g = math.gcd(s1, s2)
+    if (r2 - r1) % g:
+        return None
+    t = (r2 - r1) // g * pow(s1 // g, -1, s2 // g) % (s2 // g)
+    return r1 + s1 * t, s1 // g * s2
 
 
 @dataclass(frozen=True)

@@ -379,6 +379,60 @@ def test_blend_on_a_huge_cyclic_group_is_refused_by_the_cap(tmp_path, capsys):
     )
 
 
+def coordinate_characters_doc(factors):
+    """V = e1 + ... + ek on the group with these invariant factors."""
+    k = len(factors)
+    return {
+        "group": {"invariant_factors": list(factors)},
+        "representation": [
+            {"character": [int(i == j) for j in range(k)], "multiplicity": 1}
+            for i in range(k)
+        ],
+    }
+
+
+def test_pseudoreflections_over_the_cap_exit_3_before_they_are_listed(tmp_path, capsys):
+    # Z/100 with V = {1: 1} has 99 pseudoreflections, which cap 10 refuses
+    # although EasyCyclic certifies both primes; the default cap lists them
+    path = tmp_path / "z100.json"
+    path.write_text(json.dumps(coordinate_characters_doc([100])))
+    assert main(["check", str(path), "--cap", "10"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: 99 pseudoreflections exceed the element cap (10)\n"
+    assert main(["check", str(path), "--json"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["pseudoreflections"]) == 99
+    # (Z/3^12)^2 with V = e1 + e2 has 2 * (3^12 - 1) = 1,062,880; LargePrime
+    # certifies p = 3 with no automorphism, and the count is solved for one
+    # first coordinate at a time, never listed
+    path.write_text(json.dumps(coordinate_characters_doc([3**12, 3**12])))
+    start = time.perf_counter()
+    assert main(["check", str(path)]) == 3
+    assert time.perf_counter() - start < 5.0
+    assert capsys.readouterr().err == (
+        "error: 1062880 pseudoreflections exceed the element cap (1000000)\n"
+    )
+
+
+def test_check_on_a_huge_cyclic_group_exits_3_without_a_traceback(tmp_path):
+    # Z/10^12 with V = {1: 1}: a scan of the group ran out of memory; the
+    # count of 10^12 - 1 comes from one residue class
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(coordinate_characters_doc([10**12])))
+    start = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, "-m", "neutralrep", "check", str(path)],
+        capture_output=True,
+        text=True,
+    )
+    assert time.perf_counter() - start < 2.0
+    assert result.returncode == 3
+    assert result.stdout == ""
+    assert result.stderr == (
+        "error: 999999999999 pseudoreflections exceed the element cap (1000000)\n"
+    )
+
+
 def test_blend_trivial_group(tmp_path, capsys):
     path = tmp_path / "triv.json"
     path.write_text(

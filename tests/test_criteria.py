@@ -168,9 +168,10 @@ def test_capped_closure_failure_is_not_repeated(monkeypatch):
 
 def test_capped_cross_check_notes_nothing_when_another_strategy_certifies():
     # the 5-part of Z/3 x Z/15 is cyclic, so the orbit-based cross-check
-    # runs and is refused at cap 10; LargePrime certifies both primes, so
+    # runs and is refused at cap 100, below |Aut(G)| = 192 and above the
+    # report's 16 pseudoreflections; LargePrime certifies both primes, so
     # no EasyCyclic certification goes unconfirmed and the report has no note
-    report = neutrality_report(rep((3, 15), {(1, 0): 1, (0, 1): 1}), cap=10)
+    report = neutrality_report(rep((3, 15), {(1, 0): 1, (0, 1): 1}), cap=100)
     assert [(v.prime, v.certificate.strategy) for v in report.verdicts] == [
         (3, STRATEGY_LARGE_PRIME),
         (5, STRATEGY_LARGE_PRIME),

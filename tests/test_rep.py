@@ -2,6 +2,8 @@
 
 import itertools
 import random
+import time
+import tracemalloc
 
 import pytest
 
@@ -12,11 +14,13 @@ from neutralrep.rep import (
     blended_decomposition,
     is_faithful,
     is_int_list,
+    pseudoreflection_count,
     pseudoreflections,
     rep_from_input,
 )
 from neutralrep.errors import (
     BadCoordinateLengthError,
+    CapExceededError,
     DuplicateCharacterError,
     InfiniteGroupError,
     InputError,
@@ -85,6 +89,8 @@ def test_pseudoreflections_examples():
     assert pseudoreflections(V) == [(2,)]
     assert pseudoreflections(rep((2,), {(1,): 2})) == []
     assert pseudoreflections(rep((2,), {(1,): 1})) == [(1,)]
+    # the trivial group has no point but the identity
+    assert pseudoreflections(rep((), {(): 1})) == []
 
 
 def test_pseudoreflections_match_definition():
@@ -108,6 +114,61 @@ def test_pseudoreflections_match_definition():
                         == 1
                     ]
                     assert pseudoreflections(V) == expected, (factors, support, mults)
+
+
+def test_pseudoreflections_on_larger_supports_match_definition():
+    # seeded supports of 3 or 4 characters with multiplicities 1 to 3, where
+    # a point can move several characters at once, on groups of rank 1 to 3
+    # whose invariant factors differ; the count and the list both match
+    rng = random.Random(28)
+    for factors in [(24,), (36,), (2, 6), (4, 12), (3, 9), (2, 4, 8), (2, 6, 6), (3, 3, 9)]:
+        tuples = oracles.all_coord_tuples(factors)
+        points = tuples[1:]
+        for _ in range(40):
+            support = rng.sample(tuples, rng.choice((3, 4)))
+            mults = [rng.randint(1, 3) for _ in support]
+            V = rep(factors, dict(zip(support, mults)))
+            expected = [
+                g
+                for g in points
+                if sum(
+                    m
+                    for chi, m in zip(support, mults)
+                    if oracles.pairing(chi, g, factors)
+                )
+                == 1
+            ]
+            assert pseudoreflections(V) == expected, (factors, support, mults)
+            assert pseudoreflection_count(V) == len(expected), (factors, support, mults)
+
+
+def test_pseudoreflection_count_lists_no_point():
+    # Z/10^6 with V = {1: 1}: every non-identity point is a pseudoreflection;
+    # the listing holds about 10^8 bytes of tuples, the count a few hundred
+    V = rep((10**6,), {(1,): 1})
+    tracemalloc.start()
+    try:
+        assert pseudoreflection_count(V) == 999_999
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**5
+    assert pseudoreflection_count(rep((10**12,), {(1,): 1})) == 10**12 - 1
+    # no character of multiplicity 1, no pseudoreflection, and none of the
+    # 2^22 prefixes of (Z/2^22)^2 is solved for
+    assert pseudoreflection_count(rep((10**12,), {(1,): 2, (3,): 2})) == 0
+    start = time.perf_counter()
+    assert pseudoreflection_count(rep((2**22, 2**22), {(1, 0): 2, (0, 1): 3})) == 0
+    assert time.perf_counter() - start < 1.0
+
+
+def test_pseudoreflections_over_the_cap_are_refused_before_the_listing():
+    V = rep((6, 60), {(1, 0): 1, (0, 1): 1})
+    assert len(pseudoreflections(V, cap=64)) == 64
+    with pytest.raises(CapExceededError) as info:
+        pseudoreflections(V, cap=63)
+    assert (info.value.cap, info.value.size) == (63, 64)
+    assert str(info.value) == "64 pseudoreflections exceed the element cap (63)"
 
 
 def test_pseudoreflections_do_not_materialize_the_group():

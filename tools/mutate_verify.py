@@ -5,13 +5,13 @@ checker's automorphism layer in autgroup.py (|Aut(G)|, its generators and
 closure, AutV by arithmetic on cyclic groups and by the row backtrack
 above rank 1, and the mod-p line tests); and the checker's
 strategies in criteria.py with the representation and group arithmetic
-they read in rep.py and abelian.py (faithfulness, pseudoreflections,
-primes, mod-p images and ranks, generation); and the input and report
-boundary (io): the readers and writers of documents and reports in
-rep.py and criteria.py, the CLI's argument and file readers and verify's
-summary in cli.py, the group constructors and Smith normal form in
-abelian.py, and the range checks of the field-of-moduli data in
-geometry.py.
+they read in rep.py and abelian.py (faithfulness, the pseudoreflection
+count and listing by residue classes, primes, mod-p images and ranks,
+generation); and the input and report boundary (io): the readers and
+writers of documents and reports in rep.py and criteria.py, the CLI's
+argument and file readers and verify's summary in cli.py, the group
+constructors and Smith normal form in abelian.py, and the range checks of
+the field-of-moduli data in geometry.py.
 
 Each mutant changes one thing in one target function: it flips or shifts
 one comparison, swaps one ``and``/``or``, drops one term of a condition,
@@ -137,7 +137,14 @@ SETS = {
                 "check_prime",
                 "neutrality_report",
             ),
-            "src/neutralrep/rep.py": ("is_faithful", "pseudoreflections"),
+            "src/neutralrep/rep.py": (
+                "is_faithful",
+                "pseudoreflection_count",
+                "pseudoreflections",
+                "_pseudoreflection_classes",
+                "_prefix_points",
+                "_meet",
+            ),
             "src/neutralrep/abelian.py": (
                 "is_prime",
                 "is_prime_divisor",
@@ -210,9 +217,10 @@ SETS = {
 }
 
 #: A mutant's test run is stopped and counted as killed after this many
-#: times the unmutated run's time, and never before TIMEOUT_FLOOR_S.
+#: times the unmutated run's time, and never before TIMEOUT_FLOOR_S, which
+#: only guards a set whose unmutated run takes a few seconds.
 TIMEOUT_FACTOR = 3
-TIMEOUT_FLOOR_S = 60
+TIMEOUT_FLOOR_S = 10
 
 #: The address space a test run may take, so that a mutant whose loop
 #: appends forever fails with ``MemoryError`` instead of filling memory.
