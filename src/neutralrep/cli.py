@@ -2,8 +2,9 @@
 
 Exit codes: 0 for any completed computation (an Unknown verdict is a result,
 not an error), 2 for schema or input problems, 3 when |Aut(G)| or the number
-of pseudoreflections a report would list exceeds the element cap, as in
-"error: 99 pseudoreflections exceed the element cap (10)".
+of pseudoreflections ``check`` would list exceeds the element cap, as in
+"error: 99 pseudoreflections exceed the element cap (10)"; ``search`` lists
+none, so only |Aut(G)| caps it.
 All I/O is UTF-8 JSON or plain text.
 """
 
@@ -19,6 +20,7 @@ import sys
 from .abelian import DEFAULT_CAP, FiniteAbelianGroup, is_prime_divisor
 from .criteria import (
     OVERALL_NEUTRAL,
+    OVERALL_UNKNOWN,
     certificate_from_dict,
     check_prime,
     compact_json,
@@ -375,6 +377,7 @@ def cmd_search(args) -> int:
     if max_dim < 0:
         raise InputError(f"--max-dim {max_dim} must be nonnegative")
     group = FiniteAbelianGroup((n,))
+    primes = group.prime_divisors()
     counts = {"neutral": 0, "unknown": 0}
     exemplars = {"neutral": None, "unknown": None}
     rows = []  # printed lines or JSON instances, held so that a capped sweep prints nothing
@@ -383,20 +386,22 @@ def cmd_search(args) -> int:
         V = Representation.from_multiplicities(group, mult)
         if args.faithful and not is_faithful(V):
             continue
-        report = neutrality_report(V, cap)
-        key = "neutral" if report.overall == OVERALL_NEUTRAL else "unknown"
+        # a row shows the per-prime verdicts only, so the report's flags,
+        # notes and pseudoreflections are not computed (nor capped) here
+        verdicts = [check_prime(V, p, cap) for p in primes]
+        key = OVERALL_NEUTRAL if all(v.certified for v in verdicts) else OVERALL_UNKNOWN
         counts[key] += 1
         if exemplars[key] is None:
             exemplars[key] = _format_multiplicities(V)
         strategies = [
-            (v.prime, v.certificate.strategy if v.certified else None) for v in report.verdicts
+            (v.prime, v.certificate.strategy if v.certified else None) for v in verdicts
         ]
         if args.json:
             rows.append(
                 {
                     "multiplicities": [[list(chi.coords), m] for chi, m in V.entries],
                     "dim": V.dim,
-                    "overall": report.overall,
+                    "overall": key,
                     "primes": [{"prime": q, "strategy": s} for q, s in strategies],
                 }
             )

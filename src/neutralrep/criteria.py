@@ -413,7 +413,7 @@ def neutrality_report(V: Representation, cap: int = DEFAULT_CAP) -> NeutralityRe
         verdicts=tuple(verdicts),
         overall=overall,
         faithful=faithful,
-        pseudoreflections=tuple(pseudoreflections(V, cap=cap)),
+        pseudoreflections=tuple(pseudoreflections(V, cap)),
         factorial_shortcut=factorial_shortcut,
         notes=tuple(notes),
     )

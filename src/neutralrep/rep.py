@@ -123,26 +123,25 @@ def is_faithful(V: Representation) -> bool:
 def pseudoreflection_count(V: Representation) -> int:
     """The number of points that :func:`pseudoreflections` lists, from the
     same residue classes, without listing any point."""
-    return _pseudoreflection_classes(V, keep=-1)[0]
+    return _pseudoreflection_classes(V, keep=0)[0]
 
 
-def pseudoreflections(V: Representation, *, cap: int | None = None) -> list[tuple[int, ...]]:
+def pseudoreflections(V: Representation, cap: int = DEFAULT_CAP) -> list[tuple[int, ...]]:
     """All non-identity points of the group acting nontrivially on exactly a
     1-dimensional eigenspace (fixed subspace of codimension 1), as reduced
     coordinate tuples in lexicographic order.  A point g moves the eigenspace
     of a character a when sum_i a_i g_i (e/d_i) is nonzero mod the exponent
     e, the root-of-unity pairing in integers.  The points are solved for one
     prefix of the first k-1 coordinates at a time (see
-    ``_pseudoreflection_classes``), never scanned; with a ``cap``, a count
-    above it raises :class:`CapExceededError` before any point is listed.
+    ``_pseudoreflection_classes``), never scanned, and a count above ``cap``
+    raises :class:`CapExceededError` before any point is listed.
 
     The combinatorial computation is unconditional; interpreting the result
     as geometric pseudoreflections assumes the group order is invertible in
     the intended base field.
     """
-    keep = math.inf if cap is None else cap
-    count, runs = _pseudoreflection_classes(V, keep)
-    if count > keep:
+    count, runs = _pseudoreflection_classes(V, cap)
+    if count > cap:
         raise CapExceededError(
             cap, f"{count} pseudoreflections exceed the element cap ({cap})", size=count
         )
@@ -159,7 +158,7 @@ def pseudoreflections(V: Representation, *, cap: int | None = None) -> list[tupl
     return out
 
 
-def _pseudoreflection_classes(V: Representation, keep: float) -> tuple[int, list]:
+def _pseudoreflection_classes(V: Representation, keep: int) -> tuple[int, list]:
     """The number of pseudoreflections, and while it stays within ``keep``
     the residue classes of the last coordinate that hold them.
 
@@ -170,7 +169,7 @@ def _pseudoreflection_classes(V: Representation, keep: float) -> tuple[int, list
     the meet of every other support character's class, minus chi's own; the
     sets of different chi are disjoint.  Each prefix holding points gives
     (prefix, [(r, m, own), ...]): x runs over r mod m, outside chi's class
-    ``own``.  Prefixes whose support classes agree share one computation.
+    ``own``.  With ``keep`` = 0 only the count is kept.
     """
     d, e = V.group.invariant_factors, V.group.exponent
     single = [m == 1 for _, m in V.entries]
@@ -186,17 +185,13 @@ def _pseudoreflection_classes(V: Representation, keep: float) -> tuple[int, list
         g = math.gcd(b, e)
         s = e // g
         solvers.append((list(map(mul, chi.coords, scale)), g, s, pow(b // g, -1, s)))
-    count, runs, seen = 0, [], {}
+    count, runs = 0, []
     for prefix in itertools.product(*map(range, d[:-1])):
         classes = []
         for w, g, s, inv in solvers:
             c = sum(map(mul, w, prefix))
             classes.append(None if c % g else (-(c // g) * inv % s, s))
-        classes = tuple(classes)
-        found = seen.get(classes)
-        if found is None:
-            found = seen[classes] = _prefix_points(classes, single, e)
-        n, progressions = found
+        n, progressions = _prefix_points(classes, single, e)
         if n:
             count += n
             if count <= keep:
