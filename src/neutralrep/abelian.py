@@ -10,15 +10,19 @@ relation matrices, primary parts and mod-p reductions, and the test of
 whether a set of characters generates the group.
 
 All types are immutable after construction and all operations are pure, so
-values can be shared freely across concurrent tasks.
+values can be shared freely across concurrent tasks.  ``PrimaryPart`` is a
+``typing.NamedTuple``, so it also equals the plain tuple of its fields.
+``FiniteAbelianGroup`` and ``Character`` are plain classes that validate in
+``__init__``: their fields are read-only, they equal only values of their
+own class, each hashes as the tuple of its fields, and pickling or copying
+one builds it again through ``__init__``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     BadCoordinateLengthError,
@@ -184,8 +188,31 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FiniteAbelianGroup:
+class _Value:
+    """What the validated value types share: fields set once in
+    ``__init__`` and read-only after it, a repr that names each field in
+    ``_fields``, and pickling and copying that rebuild the value through
+    ``__init__``, so the copy is validated again.  Each class reads its own
+    fields in ``__eq__`` and ``__hash__``, which are on hot paths."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+
+class FiniteAbelianGroup(_Value):
     """A finite abelian group in invariant-factor form.
 
     ``invariant_factors`` is an ordered tuple d_1 | d_2 | ... | d_k with each
@@ -194,11 +221,11 @@ class FiniteAbelianGroup:
     relation matrix, normalizes first.
     """
 
-    invariant_factors: tuple[int, ...] = ()
+    _fields = ("invariant_factors",)
+    invariant_factors: tuple[int, ...]
 
-    def __post_init__(self):
-        factors = tuple(int(d) for d in self.invariant_factors)
-        object.__setattr__(self, "invariant_factors", factors)
+    def __init__(self, invariant_factors: Iterable[int] = ()):
+        factors = tuple(int(d) for d in invariant_factors)
         for d in factors:
             if d < 2:
                 raise InvalidInvariantFactorsError(
@@ -209,6 +236,15 @@ class FiniteAbelianGroup:
                 raise InvalidInvariantFactorsError(
                     f"invariant factor {a} does not divide its successor {b}"
                 )
+        object.__setattr__(self, "invariant_factors", factors)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.invariant_factors == other.invariant_factors
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.invariant_factors,))
 
     # -- construction ------------------------------------------------------
 
@@ -332,27 +368,34 @@ def _shared_zero(group: FiniteAbelianGroup) -> "Character":
     return Character((0,) * group.rank, group)
 
 
-@dataclass(frozen=True)
-class Character:
+class Character(_Value):
     """An element of a character group, stored as a reduced coordinate tuple.
 
     The coordinates are reduced on construction, so two equal characters
     always carry identical coordinates.
     """
 
+    _fields = ("coords", "group")
     coords: tuple[int, ...]
     group: FiniteAbelianGroup
 
-    def __post_init__(self):
-        d = self.group.invariant_factors
-        if len(self.coords) != len(d):
+    def __init__(self, coords: Sequence[int], group: FiniteAbelianGroup):
+        d = group.invariant_factors
+        if len(coords) != len(d):
             raise BadCoordinateLengthError(
-                f"character has {len(self.coords)} coordinates, "
+                f"character has {len(coords)} coordinates, "
                 f"group has {len(d)} invariant factors"
             )
-        object.__setattr__(
-            self, "coords", tuple(int(a) % di for a, di in zip(self.coords, d))
-        )
+        object.__setattr__(self, "coords", tuple(int(a) % di for a, di in zip(coords, d)))
+        object.__setattr__(self, "group", group)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.coords, self.group) == (other.coords, other.group)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.coords, self.group))
 
     @property
     def order(self) -> int:
@@ -363,8 +406,7 @@ class Character:
         return "(" + ", ".join(map(str, self.coords)) + ")"
 
 
-@dataclass(frozen=True)
-class PrimaryPart:
+class PrimaryPart(NamedTuple):
     """The p-primary summand of a group, as a group of its own.
 
     ``indices`` lists the parent coordinates divisible by p; coordinate s of

@@ -52,7 +52,6 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter, mul
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -275,8 +274,7 @@ def _extend_closure(
         rep += size
 
 
-@dataclass(frozen=True)
-class AutVSubgroup:
+class AutVSubgroup(NamedTuple):
     """The subgroup of automorphisms preserving a multiplicity map.
 
     ``support`` lists the (coordinates, multiplicity) pairs of the

@@ -31,10 +31,9 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .abelian import (
     DEFAULT_CAP,
@@ -82,8 +81,7 @@ STATUS_INAPPLICABLE = "bridge inapplicable"
 STATUS_INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """A replayable witness: strategy name plus the data its hypotheses need.
 
     A certificate re-verifies from (group, representation, certificate)
@@ -95,8 +93,7 @@ class Certificate:
     witness: dict
 
 
-@dataclass(frozen=True)
-class PrimeVerdict:
+class PrimeVerdict(NamedTuple):
     """Outcome for one prime: a certificate, or the reasons (one per
     strategy attempted) why no strategy certified."""
 
@@ -109,8 +106,7 @@ class PrimeVerdict:
         return self.certificate is not None
 
 
-@dataclass(frozen=True)
-class NeutralityReport:
+class NeutralityReport(NamedTuple):
     """Per-prime verdicts for every prime dividing the group order, plus
     representation-level flags.  ``overall`` is "neutral" exactly when every
     prime certified (vacuously for the trivial group)."""
@@ -747,8 +743,7 @@ def _verify_lines_generators(V: Representation, p: int, witness: dict) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RSingularityReport:
+class RSingularityReport(NamedTuple):
     """Outcome of the neutrality-to-R-singularity bridge for a faithful
     diagonal action without pseudoreflections (tame case asserted by the
     caller)."""

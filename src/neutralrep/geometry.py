@@ -12,8 +12,7 @@ stays visible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .abelian import is_prime_divisor, prime_divisors
 from .errors import (
@@ -29,8 +28,7 @@ VERDICT_DEFINED = "DefinedOverFieldOfModuli"
 VERDICT_UNKNOWN = "Unknown"
 
 
-@dataclass(frozen=True)
-class CurveInstance:
+class CurveInstance(NamedTuple):
     """A smooth projective curve with cyclic automorphism group of order n:
     its genus and, per prime divisor p of n, the genus of the quotient by
     the order-p subgroup."""
@@ -40,8 +38,7 @@ class CurveInstance:
     quotient_genus: Mapping[int, int]
 
 
-@dataclass(frozen=True)
-class MarkedInstance:
+class MarkedInstance(NamedTuple):
     """A pointed variety with automorphism group mu_n: the local dimension
     at the marked point and, per prime divisor p of n, the local dimension
     of the fixed locus of the order-p subgroup."""
@@ -51,8 +48,7 @@ class MarkedInstance:
     fixed_dim: Mapping[int, int]
 
 
-@dataclass(frozen=True)
-class PrimeDifference:
+class PrimeDifference(NamedTuple):
     prime: int
     difference: int
 
@@ -61,8 +57,7 @@ class PrimeDifference:
         return self.difference % self.prime != 0
 
 
-@dataclass(frozen=True)
-class GeometryReport:
+class GeometryReport(NamedTuple):
     verdict: str
     checks: tuple[PrimeDifference, ...]
     assertions: tuple[str, ...]
@@ -131,8 +126,7 @@ def marked_check(instance: MarkedInstance) -> GeometryReport:
     )
 
 
-@dataclass(frozen=True)
-class ReductionNote:
+class ReductionNote(NamedTuple):
     """Explanatory metadata: how the curve check arises from the cyclic
     dimension criterion on the space of global 1-forms."""
 

@@ -12,15 +12,15 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import mul
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .abelian import (
     DEFAULT_CAP,
     Character,
     FiniteAbelianGroup,
+    _Value,
     generates,
 )
 from .autgroup import (
@@ -38,21 +38,21 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class Representation:
+class Representation(_Value):
     """A finite multiplicity map: character -> eigenspace dimension (>= 1).
 
     ``entries`` is sorted by character coordinates, so equal representations
     compare equal and reports are reproducible byte for byte.
     """
 
+    _fields = ("group", "entries")
     group: FiniteAbelianGroup
     entries: tuple[tuple[Character, int], ...]
 
-    def __post_init__(self):
+    def __init__(self, group: FiniteAbelianGroup, entries: tuple[tuple[Character, int], ...]):
         seen = set()
-        for chi, m in self.entries:
-            if chi.group != self.group:
+        for chi, m in entries:
+            if chi.group != group:
                 raise ValueError("support character belongs to a different group")
             if not is_int(m) or m < 1:
                 raise NonPositiveMultiplicityError(
@@ -63,9 +63,16 @@ class Representation:
                     f"character {chi} appears twice in the support"
                 )
             seen.add(chi.coords)
-        object.__setattr__(
-            self, "entries", tuple(sorted(self.entries, key=lambda e: e[0].coords))
-        )
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "entries", tuple(sorted(entries, key=lambda e: e[0].coords)))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.group, self.entries) == (other.group, other.entries)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.group, self.entries))
 
     @classmethod
     def from_multiplicities(
@@ -243,8 +250,7 @@ def _meet(a, b):
     return r1 + s1 * t, s1 // g * s2
 
 
-@dataclass(frozen=True)
-class BlendedDecomposition:
+class BlendedDecomposition(NamedTuple):
     """The finest decomposition of V guaranteed to descend to every form:
     one component per orbit of the multiplicity-preserving automorphisms,
     with its common multiplicity d and its determinant character d * (sum
@@ -259,13 +265,6 @@ class BlendedDecomposition:
     symmetries: AutVSubgroup
     components: tuple[Orbit, ...]
 
-    def __post_init__(self):
-        total = sum(len(c.members) * c.multiplicity for c in self.components)
-        if total != self.representation.dim:
-            raise ValueError(
-                f"orbit dimensions sum to {total}, expected {self.representation.dim}"
-            )
-
 
 def blended_decomposition(
     V: Representation, cap: int = DEFAULT_CAP
@@ -278,10 +277,15 @@ def blended_decomposition(
     the blend leaves nothing to search; the partition of all |G| characters
     is walked here, once per call, and nowhere else.  The walk sums each
     orbit as it closes it; each orbit's ``det_character`` is built from
-    that sum when read.
+    that sum when read.  Raises ``ValueError`` when the orbit dimensions do
+    not sum to dim V.
     """
     symmetries, _ = symmetry_of(V, cap)
-    return BlendedDecomposition(V, symmetries, orbit_partition(symmetries))
+    components = orbit_partition(symmetries)
+    total = sum(len(c.members) * c.multiplicity for c in components)
+    if total != V.dim:
+        raise ValueError(f"orbit dimensions sum to {total}, expected {V.dim}")
+    return BlendedDecomposition(V, symmetries, components)
 
 
 def rep_from_input(doc) -> Representation:

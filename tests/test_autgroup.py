@@ -709,13 +709,13 @@ def test_support_orbits_build_no_character_and_blend_builds_every_determinant(mo
     sym = aut_v_subgroup(group, mult)
     zero = group.zero()
     built = []
-    post_init = Character.__post_init__
+    init = Character.__init__
 
-    def counted(self):
+    def counted(self, coords, group):
+        init(self, coords, group)
         built.append(self.coords)
-        post_init(self)
 
-    monkeypatch.setattr(Character, "__post_init__", counted)
+    monkeypatch.setattr(Character, "__init__", counted)
     orbits = support_orbits(sym)
     assert [orbit.sum_coords for orbit in orbits.values()] and built == []
     components = blended_decomposition(V).components

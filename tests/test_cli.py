@@ -613,6 +613,15 @@ def test_json_roundtrip_over_desk_sweep():
             assert report_from_json(report_to_json(report)) == report
 
 
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # every CLI call is a new process that pays the package import;
+    # dataclasses, with the inspect it pulls in, was a third of it
+    code = "import sys, neutralrep.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
+
+
 def test_module_entrypoint_subprocess(c4_file):
     result = subprocess.run(
         [sys.executable, "-m", "neutralrep", "check", c4_file, "--json"],

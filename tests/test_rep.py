@@ -1,6 +1,8 @@
 """Representations: dimensions, faithfulness, pseudoreflections, blends."""
 
+import copy
 import itertools
+import pickle
 import random
 import time
 import tracemalloc
@@ -300,3 +302,47 @@ def test_trivial_group_representation():
     )
     assert V.dim == 2 and V.group.is_trivial
     assert len(blended_decomposition(V).components) == 1
+
+
+VALUES = {
+    "group": (lambda: FiniteAbelianGroup((2, 12)), ("invariant_factors",)),
+    "character": (lambda: FiniteAbelianGroup((2, 12)).character((3, -1)), ("coords", "group")),
+    "representation": (
+        lambda: Representation.from_multiplicities(
+            FiniteAbelianGroup((2, 12)), {(1, 1): 1, (0, 3): 2}
+        ),
+        ("group", "entries"),
+    ),
+}
+
+
+@pytest.mark.parametrize("make, names", VALUES.values(), ids=list(VALUES))
+def test_validated_values_hash_compare_copy_and_stay_read_only(make, names):
+    value = make()
+    fields = tuple(getattr(value, name) for name in names)
+    assert hash(value) == hash(fields)
+    # equal when built apart, and equal only to a value of the same class
+    again = make()
+    assert again is not value and again == value and hash(again) == hash(value)
+    assert value != fields
+    # pickling and copying rebuild the value through its constructor
+    for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value), copy.copy(value)):
+        assert type(copied) is type(value) and copied == value and hash(copied) == hash(value)
+        assert repr(copied) == repr(value)
+    for name in names:
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(value, name, getattr(value, name))
+        with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+            delattr(value, name)
+    assert tuple(getattr(value, name) for name in names) == fields
+
+
+def test_validated_values_print_their_fields():
+    group = FiniteAbelianGroup((2, 12))
+    V = Representation.from_multiplicities(group, {(1, 1): 1})
+    text = "FiniteAbelianGroup(invariant_factors=(2, 12))"
+    assert repr(group) == text
+    assert repr(group.character((3, -1))) == f"Character(coords=(1, 11), group={text})"
+    assert repr(V) == (
+        f"Representation(group={text}, entries=((Character(coords=(1, 1), group={text}), 1),))"
+    )

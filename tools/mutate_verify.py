@@ -89,7 +89,6 @@ SETS = {
             ),
             "src/neutralrep/rep.py": (
                 "blended_decomposition",
-                "BlendedDecomposition.__post_init__",
             ),
         },
         "tests": (
@@ -174,7 +173,7 @@ SETS = {
     "io": {
         "targets": {
             "src/neutralrep/rep.py": (
-                "Representation.__post_init__",
+                "Representation.__init__",
                 "rep_from_input",
                 "is_int",
                 "is_int_list",
@@ -198,9 +197,9 @@ SETS = {
                 "_bounded_vectors",
             ),
             "src/neutralrep/abelian.py": (
-                "FiniteAbelianGroup.__post_init__",
+                "FiniteAbelianGroup.__init__",
                 "FiniteAbelianGroup.from_relations",
-                "Character.__post_init__",
+                "Character.__init__",
                 "smith_normal_form",
             ),
             "src/neutralrep/geometry.py": ("_check",),
@@ -356,12 +355,26 @@ def run_tests(workdir: Path, tests: tuple[str, ...], timeout: float | None = Non
     return "pass" if done.returncode == 0 else "fail"
 
 
+def set_sources(name: str) -> dict[str, str]:
+    """The set's target modules, path to source.  A target that names no
+    function of its module raises ``ValueError``, so a renamed function is
+    never silently left without mutants."""
+    sources = {}
+    for path, targets in SETS[name]["targets"].items():
+        sources[path] = (ROOT / path).read_text()
+        names = {fn for fn, _ in _functions(ast.parse(sources[path]))}
+        missing = [target for target in targets if target not in names]
+        if missing:
+            raise ValueError(f"{name}: {path} has no function {', '.join(missing)}")
+    return sources
+
+
 def set_mutants(name: str) -> tuple[dict[str, str], list[tuple[str, tuple]]]:
     """The set's target modules, path to source, and its (path, site)
     mutations, module by module."""
-    sources, mutants = {}, []
+    sources = set_sources(name)
+    mutants = []
     for path, targets in SETS[name]["targets"].items():
-        sources[path] = (ROOT / path).read_text()
         mutants += [(path, site) for site in mutation_sites(sources[path], targets)]
     return sources, mutants
 
