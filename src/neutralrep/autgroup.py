@@ -39,12 +39,10 @@ columns, so r is evaluated once on the distinct columns of H and each r*h is
 picked from those images by index, with no matrix product.  The next
 representatives t*r read each generator t's images of points from a memo
 kept for the whole closure, so a point costs one product per generator.
-One driver serves ``close_group``, AutV above rank 1, whose backtrack
-leaves stream into it, and certificate replay's recomputation of a
-LinesAndGenerators witness's greedy generators; replay finds the
-automorphisms it reads by its own row search and never lists Aut(G).  The
-driver takes generators as row matrices and returns, beside the closure in
-column form, the greedy generating subset as row matrices.
+The driver serves the checker's AutV above rank 1, whose backtrack leaves
+stream into it, and the public ``close_group``.  It takes generators as
+row matrices and returns, beside the closure in column form, the greedy
+generating subset as row matrices.
 """
 
 from __future__ import annotations
@@ -168,24 +166,22 @@ def close_group(
     group: FiniteAbelianGroup,
     gens: Iterable[tuple[tuple[int, ...], ...]],
     cap: int = DEFAULT_CAP,
-    extra: Sequence[tuple[int, ...]] = (),
 ) -> list[tuple]:
     """Closure of the row matrices ``gens`` (which may be empty) by coset
     enumeration (Dimino's algorithm), in column form: each element is the
-    tuple of its columns, the images of the standard generators, followed
-    by its images of the ``extra`` points.  It is listed one left coset at
-    a time, starting with the identity, in a deterministic order that is
-    not lexicographic.  Raises :class:`CapExceededError` before listing a
-    coset that would take the subgroup past ``cap`` elements, that is,
-    exactly when the closure has more than ``cap`` elements."""
-    return _close_columns(group, gens, cap, extra)[0]
+    tuple of its columns, the images of the standard generators.  It is
+    listed one left coset at a time, starting with the identity, in a
+    deterministic order that is not lexicographic.  Raises
+    :class:`CapExceededError` before listing a coset that would take the
+    subgroup past ``cap`` elements, that is, exactly when the closure has
+    more than ``cap`` elements."""
+    return _close_columns(group, gens, cap)[0]
 
 
 def _close_columns(
     group: FiniteAbelianGroup,
     gens: Iterable[tuple[tuple[int, ...], ...]],
     cap: int = DEFAULT_CAP,
-    extra: Sequence[tuple[int, ...]] = (),
 ) -> tuple[list[tuple], list[tuple]]:
     """``close_group``'s closure, and the greedy generating subset: the
     members of ``gens`` that lay outside the closure of those before them,
@@ -193,7 +189,7 @@ def _close_columns(
     if cap < 1:
         raise ValueError("cap must be at least 1")
     # the identity matrix is its own column form
-    ident = identity_matrix(group.rank) + tuple(extra)
+    ident = identity_matrix(group.rank)
     elements, seen, memos = [ident], {ident}, []
     for s in gens:
         _extend_closure(elements, seen, memos, s, group.invariant_factors, cap)
@@ -230,8 +226,7 @@ def _extend_closure(
     of the row matrices of ``memos``, and ``seen``, its set, in place to the
     closure of those and ``s``, appending a memo of ``s`` to ``memos``; do
     nothing when ``s`` lies in the closure already.  The group has
-    invariant factors ``d``.  Every element carries, after its k columns,
-    its images of the points that follow them in the identity.
+    invariant factors ``d``.
 
     Each left coset r*H of the subgroup H built so far is listed starting
     with r: r is evaluated once on the distinct points among H's elements,
@@ -243,9 +238,8 @@ def _extend_closure(
     its memo, which the whole closure shares, so a distinct point costs at
     most one product per generator; the memo of ``s`` starts from its
     images of the identity's points, which the membership test computed."""
-    k = len(d)
     ident = elements[0]
-    first = tuple(zip(*s)) + tuple(_images(s, d, ident[k:]))
+    first = tuple(zip(*s))
     if first in seen:
         return
     size = len(elements)
@@ -267,7 +261,7 @@ def _extend_closure(
             if r not in seen:
                 if len(elements) + size > cap:
                     raise CapExceededError(cap)
-                images = _images(tuple(zip(*r[:k])), d, points)
+                images = _images(tuple(zip(*r)), d, points)
                 coset = list(zip(images)) if picks is None else [pick(images) for pick in picks]
                 elements.extend(coset)
                 seen.update(coset)

@@ -22,8 +22,14 @@ Strategies, tried cheapest first:
 multiplicity-preserving automorphisms are found by its own search over row
 matrices, without caches and without listing Aut(G), generation is decided
 by closure enumeration alone, line fixing is rechecked vector by vector,
-and orbits and line actions are read off the column form the search
-returns.
+orbits and line actions are read off the column form the search returns,
+and greedy generators are picked by a closure of its own.  Its trusted
+base, pinned by a test, is the value types ``FiniteAbelianGroup``,
+``Character`` and ``Representation``, ``DEFAULT_CAP``,
+``primary_projection``, ``mod_p_image``, ``is_prime_divisor``,
+``check_aut_order``, ``is_int_list`` and ``MalformedCertificateError`` from
+the package's other modules, and ``Certificate``, the strategy names and
+the witness type sets from this one.
 """
 
 from __future__ import annotations
@@ -44,12 +50,7 @@ from .abelian import (
     primary_projection,
     rank_mod_p,
 )
-from .autgroup import (
-    _close_columns,
-    acts_trivially_on_lines,
-    check_aut_order,
-    induced_mod_p_matrix,
-)
+from .autgroup import acts_trivially_on_lines, check_aut_order, induced_mod_p_matrix
 from .errors import (
     CapExceededError,
     InputError,
@@ -430,7 +431,7 @@ def verify_certificate(V: Representation, cert: Certificate) -> bool:
     over every multiplicity-preserving automorphism, found by verify's own
     search over row matrices without caches, which tests bijectivity on the
     socles and never lists Aut(G); orbits and line actions are read off the
-    columns of what it finds.
+    columns of what it finds, and greedy generators picked by its own closure.
 
     Raises :class:`MalformedCertificateError` when the certificate is
     structurally unusable (unknown strategy, prime not dividing the order,
@@ -686,6 +687,29 @@ def _fixes_every_line(matrix: Sequence[Sequence[int]], p: int) -> bool:
     return True
 
 
+def _greedy_generators(d: Sequence[int], rows: Sequence[tuple]) -> list[tuple]:
+    """Each of the row matrices ``rows``, in order, that lies outside the
+    closure of those kept before it.  The closure is grown breadth first
+    from the identity by products with the kept matrices, row i of a
+    product reduced mod d_i."""
+    k = len(d)
+    closure = {tuple(tuple(int(i == j) for j in range(k)) for i in range(k))}
+    kept = []
+    for matrix in rows:
+        if matrix in closure:
+            continue
+        kept.append(matrix)
+        frontier = set(closure)
+        while frontier:
+            frontier = {
+                tuple(tuple(sum(map(mul, r, c)) % di for c in zip(*a)) for r, di in zip(b, d))
+                for a in frontier
+                for b in kept
+            } - closure
+            closure |= frontier
+    return kept
+
+
 def _verify_lines_generators(V: Representation, p: int, witness: dict) -> bool:
     group = V.group
     _need_keys(witness, {"qualifying", "generator_scalars"})
@@ -708,13 +732,10 @@ def _verify_lines_generators(V: Representation, p: int, witness: dict) -> bool:
         if not _fixes_every_line([[images[j][i] % p for j in idx] for i in idx], p):
             return False
     rows = sorted(tuple(zip(*images[: group.rank])) for images in elements)
-    _, subset = _close_columns(group, rows, DEFAULT_CAP)
     recomputed_scalars = []
-    for matrix in subset:
+    for matrix in _greedy_generators(group.invariant_factors, rows):
         induced = [[matrix[i][j] % p for j in idx] for i in idx]
-        recomputed_scalars.append(
-            {"induced_matrix": induced, "scalar": induced[0][0] % p if induced else 1}
-        )
+        recomputed_scalars.append({"induced_matrix": induced, "scalar": induced[0][0]})
     if witness["generator_scalars"] != recomputed_scalars:
         return False
     qualifying = []

@@ -44,7 +44,7 @@ from neutralrep.rep import Representation, blended_decomposition
 
 
 def row_matrices(closure):
-    """The row matrices of a column-form closure with no extra points."""
+    """The row matrices of a column-form closure."""
     return [tuple(zip(*columns)) for columns in closure]
 
 
@@ -200,30 +200,23 @@ def test_closure_takes_about_one_product_per_element(monkeypatch):
         assert 0 < products <= bound, (factors, products)
 
 
-def test_close_columns_with_extra_points_matches_the_oracle():
-    # random generator lists, with repeats and the identity mixed in, each
-    # closed with 0 to 3 extra points; (5,) with none is the width-1 case
+def test_close_columns_matches_the_oracle():
+    # random generator lists, with repeats and the identity mixed in; (5,)
+    # is the width-1 case
     rng = random.Random(19)
     for factors in [(12,), (5,), (2, 2, 2), (3, 3), (2, 2, 4)]:
         group = FiniteAbelianGroup(factors)
-        k, n = len(factors), group.order
-        ident = identity_matrix(k)
+        n = group.order
+        ident = identity_matrix(len(factors))
         pool = aut_generators(group)
-        tuples = oracles.all_coord_tuples(factors)
-        for count in range(4):
-            extra = tuple(rng.choice(tuples) for _ in range(count))
+        for _ in range(4):
             picks = rng.sample(pool, k=rng.randint(1, min(4, len(pool))))
             gens = picks + picks[:1] + [ident]
             rng.shuffle(gens)
-            elements, used = _close_columns(group, gens, extra=extra)
-            assert elements[0] == ident + extra
-            for element in elements:
-                rows = tuple(zip(*element[:k]))
-                assert element[k:] == tuple(
-                    oracles.apply_matrix(rows, x, factors) for x in extra
-                ), (factors, extra)
+            elements, used = _close_columns(group, gens)
+            assert elements[0] == ident
             perms = [oracles.perm_of(m, factors) for m in gens]
-            closed = {oracles.perm_of(tuple(zip(*e[:k])), factors) for e in elements}
+            closed = {oracles.perm_of(tuple(zip(*e)), factors) for e in elements}
             assert len(closed) == len(elements)
             assert closed == oracles.perm_closure(perms, n), (factors, gens)
             expected = [
@@ -231,10 +224,10 @@ def test_close_columns_with_extra_points_matches_the_oracle():
             ]
             assert used == expected, (factors, gens)
             size = len(elements)
-            assert len(_close_columns(group, gens, size, extra)[0]) == size
+            assert len(_close_columns(group, gens, size)[0]) == size
             if size > 1:
                 with pytest.raises(CapExceededError):
-                    _close_columns(group, gens, size - 1, extra)
+                    _close_columns(group, gens, size - 1)
 
 
 def test_close_group_cap():
@@ -652,7 +645,7 @@ def assert_replay_data(group, mult):
     """Certificate replay's own data against the oracles: after its k
     columns each element carries its images of the support characters,
     which make up each character's orbit under the oracle's preserving
-    matrices, with the oracle's sum; and the greedy closure of the
+    matrices, with the oracle's sum; and replay's own greedy closure of the
     lexicographically sorted rows picks the oracle's greedy generators."""
     factors, k = group.invariant_factors, group.rank
     V = Representation.from_multiplicities(group, mult)
@@ -666,7 +659,9 @@ def assert_replay_data(group, mult):
         assert orbit_sum.coords == oracles.sum_tuples(expected, factors), (factors, mult, c)
     rows = sorted(tuple(zip(*images[:k])) for images in elements)
     assert rows == matrices, (factors, mult)
-    assert _close_columns(group, rows)[1] == oracles.greedy_generators(matrices, factors)
+    assert criteria_module._greedy_generators(factors, rows) == oracles.greedy_generators(
+        matrices, factors
+    )
 
 
 def test_orbit_sums_and_determinants_match_the_oracle():

@@ -124,10 +124,12 @@ def test_certificates_replay_and_mutations_are_refused(V):
 
 
 #: The checker's automorphism routines that replay must not call: Aut(G)'s
-#: generators and closure, and both AutV paths with the backtrack's rows
-#: and independence test.
+#: generators and the Dimino closure driver, and both AutV paths with the
+#: backtrack's rows and independence test.
 CHECKER_ONLY = (
     "close_group",
+    "_close_columns",
+    "_extend_closure",
     "aut_generators",
     "_preserving_matrices",
     "_candidate_rows",
@@ -175,7 +177,10 @@ def test_replay_calls_none_of_the_checkers_automorphism_routines(monkeypatch):
         assert verify_certificate(V, cert), cert
 
 
-def test_replay_keeps_its_preserving_set_under_a_closure_fault(monkeypatch):
+@pytest.fixture
+def closure_fault(monkeypatch):
+    """Make the checker's closure driver drop the last coset of every
+    extension, so its closures stop being groups."""
     original = autgroup._extend_closure
 
     def dropping_a_coset(elements, seen, memos, s, d, cap):
@@ -185,12 +190,68 @@ def test_replay_keeps_its_preserving_set_under_a_closure_fault(monkeypatch):
             seen.difference_update(elements[-size:])
             del elements[-size:]
 
-    monkeypatch.setattr(autgroup, "_extend_closure", dropping_a_coset)
-    g22 = FiniteAbelianGroup((2, 2))
-    assert len(autgroup.close_group(g22, autgroup.aut_generators(g22))) < 6  # the fault is live
+    def install():
+        monkeypatch.setattr(autgroup, "_extend_closure", dropping_a_coset)
+        g22 = FiniteAbelianGroup((2, 2))
+        assert len(autgroup.close_group(g22, autgroup.aut_generators(g22))) < 6  # live
+
+    return install
+
+
+def test_replay_keeps_its_preserving_set_under_a_closure_fault(closure_fault):
+    closure_fault()
     for V in seeded_representations(count=60, seed=27):
         factors, k = V.group.invariant_factors, V.group.rank
         mult = {chi.coords: m for chi, m in V.entries}
         elements = criteria._recomputed_preserving_elements(V)
         rows = sorted(tuple(zip(*images[:k])) for images in elements)
         assert rows == oracles.preserving_matrices(factors, mult), (factors, mult)
+
+
+def test_two_generator_line_certificates_replay_under_a_closure_fault(closure_fault):
+    # each certificate names two greedy generators, so a replay that closed
+    # the preserving set with the checker's faulty driver would find a third;
+    # the maps are drawn on groups whose AutV holds scalars of two orders
+    reps = [
+        Representation.from_multiplicities(
+            FiniteAbelianGroup((6, 12)), {(0, 6): 2, (1, 1): 1, (3, 0): 3}
+        )
+    ]
+    rng = random.Random(30)
+    for factors in [(6, 6), (6, 12), (10, 10), (12, 12)]:
+        tuples = oracles.all_coord_tuples(factors)
+        for _ in range(100):
+            support = rng.sample(tuples, k=rng.randint(2, 4))
+            mult = {c: rng.randint(1, 3) for c in support}
+            reps.append(Representation.from_multiplicities(FiniteAbelianGroup(factors), mult))
+    certified = [
+        (V, verdict.certificate)
+        for V in reps
+        for verdict in neutrality_report(V).verdicts
+        if verdict.certified
+        and verdict.certificate.strategy == STRATEGY_LINES_AND_GENERATORS
+        and len(verdict.certificate.witness["generator_scalars"]) == 2
+    ]
+    assert certified[0][0] is reps[0] and certified[0][1].prime == 2
+    assert len(certified) >= 15
+    closure_fault()
+    for W, cert in certified:
+        assert verify_certificate(W, cert), cert
+
+
+def test_replay_greedy_generators_match_the_oracle():
+    # replay's own closure against the oracle's, on the sorted preserving
+    # sets of seeded maps and, shuffled, on all 3,888 automorphisms of
+    # (Z/9)^2, the preserving set of its empty support
+    rng = random.Random(30)
+    cases = []
+    for V in seeded_representations(count=40, seed=30):
+        factors = V.group.invariant_factors
+        mult = {chi.coords: m for chi, m in V.entries}
+        cases.append((factors, oracles.preserving_matrices(factors, mult)))
+    full = oracles.preserving_matrices((9, 9), {})
+    assert len(full) == 3888
+    cases += [((9, 9), full), ((9, 9), rng.sample(full, k=len(full)))]
+    for factors, matrices in cases:
+        expected = oracles.greedy_generators(matrices, factors)
+        assert criteria._greedy_generators(factors, matrices) == expected, factors

@@ -68,6 +68,7 @@ SETS = {
                 "_orbit",
                 "_verify_cyclic_general",
                 "_fixes_every_line",
+                "_greedy_generators",
                 "_verify_lines_generators",
             ),
         },
@@ -267,17 +268,31 @@ def _functions(tree: ast.Module) -> Iterator[tuple[str, ast.FunctionDef]]:
                     yield f"{node.name}.{fn.name}", fn
 
 
+def _text(lines: list[bytes], node: ast.AST) -> str:
+    """The node's source, as ``ast.get_source_segment`` gives it, on one
+    line with its whitespace collapsed.  ``lines`` is the module split once
+    into UTF-8 lines, since column offsets count bytes; a call of
+    ``get_source_segment`` would split the whole module again."""
+    first, last = node.lineno - 1, node.end_lineno - 1
+    if first == last:
+        chunks = [lines[first][node.col_offset : node.end_col_offset]]
+    else:
+        chunks = [lines[first][node.col_offset :], *lines[first + 1 : last],
+                  lines[last][: node.end_col_offset]]
+    return " ".join(b"".join(chunks).decode().split())
+
+
 def mutation_sites(source: str, targets: tuple[str, ...]) -> list[tuple]:
     """Every (function, node key, kind, argument, source text) mutation of
     the target functions, in a fixed order."""
     sites = []
+    lines = source.encode().splitlines(keepends=True)
     for name, fn in _functions(ast.parse(source)):
         if name not in targets:
             continue
         for node in ast.walk(fn):
             for test in _tests(node):
-                text = " ".join((ast.get_source_segment(source, test) or "").split())
-                sites.append((name, _key(test), "negate", None, text))
+                sites.append((name, _key(test), "negate", None, _text(lines, test)))
             found = []
             if isinstance(node, ast.Compare):
                 for j, op in enumerate(node.ops):
@@ -292,8 +307,9 @@ def mutation_sites(source: str, targets: tuple[str, ...]) -> list[tuple]:
                 found = [("flip", None)]
             elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
                 found = [("unnot", None)]
-            text = " ".join((ast.get_source_segment(source, node) or "").split())
-            sites += [(name, _key(node), kind, arg, text) for kind, arg in found]
+            if found:  # a node without a mutation may have no source position
+                text = _text(lines, node)
+                sites += [(name, _key(node), kind, arg, text) for kind, arg in found]
     return sites
 
 
@@ -322,17 +338,23 @@ class _Mutator(ast.NodeTransformer):
         return node
 
 
-def mutant_source(source: str, site: tuple) -> tuple[str, str]:
-    """The mutated module and a one-line description of the change."""
+def mutant_label(site: tuple) -> str:
+    """A one-line description of the site's change."""
     name, key, kind, arg, text = site
-    tree = _Mutator(key, kind, arg).visit(ast.parse(source))
     if kind == "compare":
         label = f"{arg[1].__name__} -> {arg[2].__name__}"
     else:
         label = {"swap": "and/or swap", "drop": f"term {arg} dropped",
                  "flip": "boolean return flipped", "unnot": "not removed",
                  "negate": "test negated"}[kind]
-    return ast.unparse(ast.fix_missing_locations(tree)), f"{name}:{key[1]} {label}: {text}"
+    return f"{name}:{key[1]} {label}: {text}"
+
+
+def mutant_source(source: str, site: tuple) -> tuple[str, str]:
+    """The mutated module and a one-line description of the change."""
+    _, key, kind, arg, _ = site
+    tree = _Mutator(key, kind, arg).visit(ast.parse(source))
+    return ast.unparse(ast.fix_missing_locations(tree)), mutant_label(site)
 
 
 def run_tests(workdir: Path, tests: tuple[str, ...], timeout: float | None = None) -> str:
@@ -425,9 +447,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.list:
         for name in SETS:
-            sources, mutants = set_mutants(name)
-            for i, (path, site) in enumerate(mutants):
-                print(f"{name} {i:3d} {mutant_source(sources[path], site)[1]}")
+            for i, (_, site) in enumerate(set_mutants(name)[1]):
+                print(f"{name} {i:3d} {mutant_label(site)}")
         return 0
     return max([run_set(name) for name in SETS])
 
