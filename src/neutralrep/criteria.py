@@ -21,7 +21,7 @@ Strategies, tried cheapest first:
 ``verify_certificate`` replays a certificate from scratch: the
 multiplicity-preserving automorphisms are found by its own search over row
 matrices, without caches and without listing Aut(G), generation is decided
-by closure enumeration alone, line fixing is rechecked vector by vector,
+by lattice index alone, line fixing is rechecked vector by vector,
 orbits and line actions are read off the column form the search returns,
 and greedy generators are picked by a closure of its own.  Its trusted
 base, pinned by a test, is the value types ``FiniteAbelianGroup``,
@@ -427,7 +427,7 @@ def verify_certificate(V: Representation, cert: Certificate) -> bool:
 
     The code paths are deliberately different from the checkers': the fixed
     dimension is recounted by direct enumeration, generation is decided by
-    closure enumeration alone, and line fixing is rechecked vector by vector
+    lattice index alone, and line fixing is rechecked vector by vector
     over every multiplicity-preserving automorphism, found by verify's own
     search over row matrices without caches, which tests bijectivity on the
     socles and never lists Aut(G); orbits and line actions are read off the
@@ -503,23 +503,26 @@ def _verify_easy_cyclic(V: Representation, p: int, witness: dict) -> bool:
     return (dim - fixed) % p != 0
 
 
-def _closure_generates(group: FiniteAbelianGroup, gens: Sequence[tuple[int, ...]]) -> bool:
-    """Explicit breadth-first closure of coordinate tuples, bounded by the
-    group order."""
+def _index_generates(group: FiniteAbelianGroup, gens: Sequence[tuple[int, ...]]) -> bool:
+    """Whether ``gens`` generate the sum of the Z/d_j: whether they span Z^k
+    with the rows d_j e_j.  Column by column, Euclid's algorithm among the
+    rows left leaves one row, the pivot, nonzero there; the span is Z^k
+    exactly when every pivot is 1.  Row d_j e_j would stay untouched until
+    column j, so it joins there, and entries in column j are kept mod d_j."""
     d = group.invariant_factors
-    zero = (0,) * len(d)
-    seen = {zero}
-    frontier = [zero]
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in gens:
-                y = tuple((a + b) % di for a, b, di in zip(x, g, d))
-                if y not in seen:
-                    seen.add(y)
-                    new.append(y)
-        frontier = new
-    return len(seen) == group.order
+    rows = [[a % dj for a, dj in zip(g, d)] for g in gens]
+    for j, dj in enumerate(d):
+        rows.append([dj * (i == j) for i in range(len(d))])
+        while True:
+            pivot = min((r for r in rows if r[j]), key=lambda r: r[j])
+            rows = [[(a - r[j] // pivot[j] * b) % di for a, b, di in zip(r, pivot, d)]
+                    for r in rows if r is not pivot]
+            if not any(r[j] for r in rows):
+                break
+            rows.append(pivot)
+        if pivot[j] != 1:
+            return False
+    return True
 
 
 def _verify_large_prime(V: Representation, p: int, witness: dict) -> bool:
@@ -533,7 +536,7 @@ def _verify_large_prime(V: Representation, p: int, witness: dict) -> bool:
     projections = [primary_projection(chi, p) for chi in V.support]
     if witness["restrictions"] != list(map(list, projections)):
         return False
-    return _closure_generates(group.primary_part(p).group, projections)
+    return _index_generates(group.primary_part(p).group, projections)
 
 
 def _recomputed_preserving_elements(V: Representation) -> list[tuple]:
@@ -667,8 +670,8 @@ def _verify_cyclic_general(V: Representation, p: int, witness: dict) -> bool:
         return False
     pp_group = group.primary_part(p).group
     if witness["branch"] == "b":
-        return len(orbit) % p != 0 and _closure_generates(pp_group, [proj])
-    return _closure_generates(pp_group, [orbit_sum_proj])
+        return len(orbit) % p != 0 and _index_generates(pp_group, [proj])
+    return _index_generates(pp_group, [orbit_sum_proj])
 
 
 def _fixes_every_line(matrix: Sequence[Sequence[int]], p: int) -> bool:
@@ -722,7 +725,7 @@ def _verify_lines_generators(V: Representation, p: int, witness: dict) -> bool:
     # the qualifying characters are among these, so when these cannot
     # generate, no search is needed; a capped group is still refused first
     check_aut_order(group, DEFAULT_CAP)
-    if not _closure_generates(
+    if not _index_generates(
         pp.group, [primary_projection(chi, p) for chi, m in V.entries if m % p]
     ):
         return False
@@ -756,7 +759,7 @@ def _verify_lines_generators(V: Representation, p: int, witness: dict) -> bool:
         projections.append(primary_projection(chi, p))
     if witness["qualifying"] != qualifying:
         return False
-    return _closure_generates(pp.group, projections)
+    return _index_generates(pp.group, projections)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from neutralrep.abelian import (
     rank_mod_p,
     smith_normal_form,
 )
+from neutralrep.criteria import _index_generates
 from neutralrep.errors import (
     BadCoordinateLengthError,
     InfiniteGroupError,
@@ -199,10 +200,11 @@ def test_generates_agrees_with_closure_enumeration():
         import itertools
         for size in range(min(2, len(tuples)) + 1):
             for subset in itertools.combinations(range(len(tuples)), size):
-                expected = len(
-                    oracles.closure_bruteforce(factors, [tuples[i] for i in subset])
-                ) == group.order
+                gens = [tuples[i] for i in subset]
+                expected = len(oracles.closure_bruteforce(factors, gens)) == group.order
                 assert generates([chars[i] for i in subset], group) == expected
+                # replay's lattice-index test, against the same oracle
+                assert _index_generates(group, gens) == expected
 
 
 def test_generates_on_groups_too_large_to_enumerate():
@@ -221,6 +223,27 @@ def test_generates_on_groups_too_large_to_enumerate():
     assert not generates([e1, g.character((0, 2))], g)
     assert not generates([e1, g.character((0, 5))], g)
     assert generates([e1, g.character((0, 7))], g)
+
+
+@pytest.mark.parametrize(
+    "factors", [(7, 7**7), (3**12, 3**12), (10**12,), (2, 2**40)], ids=str
+)
+def test_index_generates_agrees_with_generates_on_large_groups(factors):
+    # replay decides generation by lattice index, the checker by mod-p ranks:
+    # two independent paths on groups far too large to enumerate.  Scaling a
+    # coordinate by a small prime often breaks generation, so both answers occur.
+    group = FiniteAbelianGroup(factors)
+    rng = random.Random(31)
+    answers = set()
+    for _ in range(200):
+        gens = [
+            tuple(rng.randrange(d) * rng.choice((1, 1, 2, 3, 5, 7)) % d for d in factors)
+            for _ in range(rng.randrange(4))
+        ]
+        expected = generates([group.character(c) for c in gens], group)
+        assert _index_generates(group, gens) == expected, gens
+        answers.add(expected)
+    assert answers == {True, False}
 
 
 def test_primary_part_structure():

@@ -350,8 +350,8 @@ def test_cap_is_decided_before_the_work(tmp_path, capsys):
     report_text = capsys.readouterr().out
     report = json.loads(report_text)
     assert report["overall"] == "neutral"
-    # verify closes Aut(G) at the default cap, so it refuses this
-    # certificate at once instead of after 10^6 products
+    # verify compares |Aut(G)| with the default cap before its row search,
+    # so it refuses this certificate at once
     certfile = tmp_path / "report.json"
     certfile.write_text(report_text)
     start = time.perf_counter()
@@ -464,6 +464,29 @@ def test_verify_roundtrip(c4_file, tmp_path, capsys):
     assert main(["verify", c4_file, str(cert)]) == 0
     out = capsys.readouterr().out
     assert "VERIFIED" in out and "all certificates verified" in out
+
+
+def test_verify_of_a_large_prime_report_never_lists_the_group(tmp_path):
+    # |G_7| = 7^8: replay decides generation by lattice index; a walk over
+    # G_7 takes over 10 s and 800 MiB on a 2-CPU host, so the bound catches one
+    doc = tmp_path / "z7.json"
+    doc.write_text(json.dumps({
+        "group": {"invariant_factors": [7, 7**7]},
+        "representation": [{"character": [1, 0], "multiplicity": 2},
+                           {"character": [0, 1], "multiplicity": 2}],
+    }))
+    cli = [sys.executable, "-m", "neutralrep"]
+    check = subprocess.run([*cli, "check", str(doc), "--json"],
+                           capture_output=True, text=True, timeout=60)
+    assert check.returncode == 0 and '"strategy":"LargePrime"' in check.stdout
+    report = tmp_path / "report.json"
+    report.write_text(check.stdout)
+    start = time.perf_counter()
+    result = subprocess.run([*cli, "verify", str(doc), str(report)],
+                            capture_output=True, text=True, timeout=60)
+    assert time.perf_counter() - start < 5.0
+    assert result.returncode == 0
+    assert result.stdout == "p = 7 LargePrime: VERIFIED\nall certificates verified\n"
 
 
 def test_verify_summary_fails_on_any_invalid_certificate(c4_file, tmp_path, capsys):

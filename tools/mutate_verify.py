@@ -61,7 +61,7 @@ SETS = {
                 "_integral",
                 "_need_keys",
                 "_verify_easy_cyclic",
-                "_closure_generates",
+                "_index_generates",
                 "_verify_large_prime",
                 "_recomputed_preserving_elements",
                 "_reduced_socle_rows",
